@@ -10,6 +10,8 @@ Recognized keys: polarized-vars, component-enum, lq-generators, colex-enum.
 import os
 from dataclasses import dataclass, replace
 
+from .errors import CapsFormatError
+
 _ENV_VAR = "MONOGRAD_CAPS"
 
 _KEYMAP = {
@@ -40,8 +42,13 @@ def _from_env(base: Caps) -> Caps:
         key, _, value = item.partition("=")
         key = key.strip()
         if key not in _KEYMAP:
-            raise ValueError(f"unknown {_ENV_VAR} key: {key!r}")
-        overrides[_KEYMAP[key]] = int(value)
+            raise CapsFormatError(f"unknown {_ENV_VAR} key: {key!r}")
+        try:
+            overrides[_KEYMAP[key]] = int(value)
+        except ValueError:
+            raise CapsFormatError(
+                f"{_ENV_VAR} value for {key!r} is not an integer: "
+                f"{value.strip()!r}") from None
     return replace(base, **overrides)
 
 

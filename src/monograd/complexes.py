@@ -104,7 +104,12 @@ class SimplicialComplex:
     def faces_by_cardinality(self, within: Optional[int] = None) -> Dict[int, List[int]]:
         """All face masks contained in `within` (a mask; default: full set),
         grouped by cardinality.  Grown incrementally so only actual faces
-        are ever visited."""
+        are ever visited.
+
+        Each list is in canonical order (sorted vertex tuples, compared
+        lexicographically): a face is extended only by vertices above its
+        maximum, in increasing order, and its parents come in that order.
+        """
         if within is None:
             within = (1 << self.n) - 1
         cached = self._face_cache.get(within)
@@ -161,8 +166,8 @@ class SimplicialComplex:
         face order (cardinality, then sorted vertex tuples).
         """
         faces = self.faces_by_cardinality(within)
-        source = _canon_sorted(faces.get(s + 1, []))
-        target = _canon_sorted(faces.get(s, []))
+        source = faces.get(s + 1, [])
+        target = faces.get(s, [])
         tindex = {f: i for i, f in enumerate(target)}
         cols = []
         for f in source:
@@ -231,10 +236,6 @@ class SimplicialComplex:
             if self.reduced_homology_dim(s, within, memo):
                 return s
         return None
-
-
-def _canon_sorted(masks: List[int]) -> List[int]:
-    return sorted(masks, key=lambda m: tuple(sorted(_from_mask(m))))
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,10 @@ class DomainError(MonogradError, ValueError):
     """Input is outside the mathematical domain of the operation."""
 
 
+class CapsFormatError(MonogradError, ValueError):
+    """The MONOGRAD_CAPS environment variable cannot be parsed."""
+
+
 class ResourceCapError(MonogradError, RuntimeError):
     """A configured enumeration/search cap would be exceeded.
 

@@ -30,6 +30,7 @@ from .monomials import (
     supp,
     variable,
 )
+from .structure import UNDECIDED, linear_quotients_order
 
 _UNION_CAP = 1 << 20
 
@@ -291,8 +292,6 @@ def regularity(I: MonomialIdeal, engine: str = "auto",
         return 0
     caps = caps or default_caps()
     if engine == "linear-quotients":
-        from .structure import linear_quotients_order
-
         if linear_quotients_order(I, caps=caps) is None:
             raise DomainError("no linear-quotients order exists")
         return I.omega
@@ -302,8 +301,6 @@ def regularity(I: MonomialIdeal, engine: str = "auto",
         return _regularity_hochster_path(I, caps)
     if engine != "auto":
         raise DomainError(f"unknown regularity engine: {engine}")
-
-    from .structure import UNDECIDED, linear_quotients_order
 
     if I.mu <= caps.lq_generators:
         order = linear_quotients_order(I, caps=caps,

@@ -14,7 +14,6 @@ from .monomials import (
     MonomialIdeal,
     deg,
     mono_div,
-    mono_gcd,
     mono_mul,
     supp,
     variable,
@@ -42,30 +41,26 @@ class QuotientOrder:
     order: Tuple[tuple, ...]  # permutation of the generators
 
 
-def _colon_data(gens):
-    """Precompute u_j : u_i = u_j / gcd(u_j, u_i) for all ordered pairs.
+def _colon_masks(gens):
+    """Colon tables indexed by candidate i and variable k; each entry is a
+    bitmask over the generators u_j.
 
-    Returns (is_variable_index, support_masks): for pair (j, i),
-    is_variable_index[j][i] is the 0-based variable when the colon monomial
-    is a single variable (else -1), and support_masks[j][i] is the bitmask
-    of its support.
+    cover[i][k] has bit j set when x_k divides u_j : u_i, i.e.
+    u_j[k] > u_i[k]; step[i][k] has bit j set when u_j : u_i is exactly x_k.
     """
-    m = len(gens)
-    is_var = [[-1] * m for _ in range(m)]
-    smask = [[0] * m for _ in range(m)]
-    for j in range(m):
-        for i in range(m):
-            if i == j:
-                continue
-            c = mono_div(gens[j], mono_gcd(gens[j], gens[i]))
-            mask = 0
-            for k, e in enumerate(c):
-                if e:
-                    mask |= 1 << k
-            smask[j][i] = mask
-            if sum(c) == 1:
-                is_var[j][i] = c.index(1)
-    return is_var, smask
+    n = len(gens[0])
+    cover, step = [], []
+    for u in gens:
+        cov, stp = [0] * n, [0] * n
+        for j, v in enumerate(gens):
+            ks = [k for k in range(n) if v[k] > u[k]]
+            for k in ks:
+                cov[k] |= 1 << j
+            if len(ks) == 1 and v[ks[0]] - u[ks[0]] == 1:
+                stp[ks[0]] |= 1 << j
+        cover.append(cov)
+        step.append(stp)
+    return cover, step
 
 
 def linear_quotients_order(
@@ -89,26 +84,20 @@ def linear_quotients_order(
         return QuotientOrder((I.gens[0],))
 
     gens = I.gens
-    is_var, smask = _colon_data(gens)
+    cover, step = _colon_masks(gens)
     full = (1 << m) - 1
     dead = set()
     nodes = 0
     budget_hit = False
 
     def admissible(prefix_mask: int, i: int) -> bool:
-        varmask = 0
-        js = []
-        pm = prefix_mask
-        j = 0
-        while pm:
-            if pm & 1:
-                v = is_var[j][i]
-                if v >= 0:
-                    varmask |= 1 << v
-                js.append(j)
-            pm >>= 1
-            j += 1
-        return all(smask[j][i] & varmask for j in js)
+        # every colon u_j : u_i with j in the prefix must be divisible by
+        # a variable that is itself such a colon
+        covered = 0
+        for s, c in zip(step[i], cover[i]):
+            if s & prefix_mask:
+                covered |= c
+        return not prefix_mask & ~covered
 
     def dfs(prefix_mask: int, order: List[int]) -> Optional[List[int]]:
         nonlocal nodes, budget_hit
@@ -235,9 +224,9 @@ def is_componentwise_polymatroidal(I: MonomialIdeal,
                                    caps: Optional[Caps] = None) -> bool:
     """Checks polymatroidality of every degree component.
 
-    Components above omega are covered by a stabilization certificate:
-    I_<j+1> = m * I_<j> at j = omega, plus closure of polymatroidal ideals
-    under multiplication by the maximal ideal.
+    Degrees alpha..omega suffice: above omega each component is the
+    product of m with the one below it, and products of polymatroidal
+    ideals are polymatroidal.
     """
     if I.is_zero or I.is_unit:
         raise DomainError("componentwise test needs a proper nonzero ideal")
@@ -248,10 +237,6 @@ def is_componentwise_polymatroidal(I: MonomialIdeal,
             continue
         if not is_polymatroidal(comp):
             return False
-    top = I.degree_component(I.omega, caps)
-    stabilized = I.degree_component(I.omega + 1, caps)
-    if stabilized != MonomialIdeal.maximal(I.n) * top:
-        return False
     return True
 
 

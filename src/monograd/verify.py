@@ -29,10 +29,9 @@ from .monomials import (MonomialIdeal, is_complete_intersection,
                         veronese_type)
 from .resolution import (cycle_certificate, has_differential_linear_resolution,
                          hochster_betti, regularity)
-from .structure import (UNDECIDED, is_polymatroidal, is_stable,
-                        is_strongly_stable, is_vertex_splittable,
-                        linear_quotients_order, stable_closure,
-                        strongly_stable_closure)
+from .structure import (is_polymatroidal, is_stable, is_strongly_stable,
+                        is_vertex_splittable, linear_quotients_order,
+                        stable_closure, strongly_stable_closure)
 
 DEFAULT_SAMPLES = 200
 

@@ -1,7 +1,9 @@
+import random
+
 import pytest
 
-from monograd.complexes import (SimplicialComplex, stanley_reisner_complex,
-                                stanley_reisner_ideal)
+from monograd.complexes import (SimplicialComplex, _from_mask,
+                                stanley_reisner_complex, stanley_reisner_ideal)
 from monograd.errors import DomainError
 from monograd.exact_rank import bareiss_rank, sparse_rank
 from monograd.monomials import MonomialIdeal
@@ -35,6 +37,20 @@ def test_face_enumeration():
     assert len(faces[2]) == 3
     assert 3 not in faces or not faces[3]
     assert hollow.is_face({1, 2}) and not hollow.is_face({1, 2, 3})
+
+
+def test_faces_come_in_canonical_order():
+    # boundary_matrix relies on this order for its rows and columns
+    rng = random.Random(11)
+    for _ in range(200):
+        n = rng.randint(1, 8)
+        nonfaces = [rng.sample(range(1, n + 1), rng.randint(1, n))
+                    for _ in range(rng.randint(0, 5))]
+        delta = SimplicialComplex(n, nonfaces)
+        for within in (None, rng.getrandbits(n), rng.getrandbits(n)):
+            for faces in delta.faces_by_cardinality(within).values():
+                keys = [tuple(sorted(_from_mask(f))) for f in faces]
+                assert keys == sorted(keys)
 
 
 def test_homology_of_circle_and_sphere():

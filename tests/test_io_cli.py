@@ -130,3 +130,12 @@ def test_cli_malformed_input(tmp_path):
     p2 = tmp_path / "neg.json"
     p2.write_text(json.dumps({"n": 2, "gens": [[-1, 0]]}))
     assert run_cli(["reg", str(p2)]) == 2
+
+
+@pytest.mark.parametrize("setting", ["nonface-unions=5", "lq-generators=abc"])
+def test_cli_malformed_caps_setting(ideal_file, monkeypatch, capsys, setting):
+    f = ideal_file({"n": 2, "gens": [[1, 1]]})
+    monkeypatch.setenv("MONOGRAD_CAPS", setting)
+    assert run_cli(["reg", f]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")

@@ -1,7 +1,9 @@
 import random
+from itertools import permutations
 
 import pytest
 
+from monograd.caps import Caps
 from monograd.errors import DomainError
 from monograd.gradient import gradient
 from monograd.monomials import MonomialIdeal, veronese_type
@@ -33,6 +35,24 @@ def test_linear_quotients_witness_is_valid():
     assert sorted(gens) == sorted(J.gens)
     for k in range(1, len(gens)):
         assert _is_variable_colon(gens[:k], gens[k], 4)
+
+
+def test_linear_quotients_agrees_with_permutation_oracle():
+    # at most 6 generators: an order exists exactly when some permutation
+    # of G(J) passes the colon check at every step
+    rng = random.Random(5)
+    found = exhausted = 0
+    for t in range(120):
+        n = rng.randint(4, 6)
+        J = random_ideal(n, 2, 3, rng.randint(3, 6), squarefree=t % 2 == 0,
+                         rng=rng)
+        oracle = any(
+            all(_is_variable_colon(p[:k], p[k], n) for k in range(1, len(p)))
+            for p in permutations(J.gens))
+        assert (linear_quotients_order(J) is not None) == oracle, J
+        found += oracle
+        exhausted += not oracle
+    assert found > 10 and exhausted > 10
 
 
 def test_no_linear_quotients():
@@ -73,6 +93,9 @@ def test_polymatroidal():
 def test_componentwise_polymatroidal():
     assert is_componentwise_polymatroidal(I(2, "x1^2", "x1*x2", "x2^3"))
     assert not is_componentwise_polymatroidal(I(4, "x1*x2", "x3*x4"))
+    # no component above omega is enumerated: degree 4 would need 5
+    assert is_componentwise_polymatroidal(I(2, "x1^2", "x1*x2", "x2^3"),
+                                          caps=Caps(component_enum=4))
 
 
 def test_stable_checks():
