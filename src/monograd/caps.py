@@ -4,7 +4,8 @@ Format: comma-separated key=value pairs, e.g.
 
     MONOGRAD_CAPS="polarized-vars=20,component-enum=100000"
 
-Recognized keys: polarized-vars, component-enum, lq-generators, colex-enum.
+Recognized keys: polarized-vars, component-enum, lq-generators, colex-enum,
+nonface-unions.
 """
 
 import os
@@ -19,6 +20,7 @@ _KEYMAP = {
     "component-enum": "component_enum",
     "lq-generators": "lq_generators",
     "colex-enum": "colex_enum",
+    "nonface-unions": "nonface_unions",
 }
 
 
@@ -28,6 +30,7 @@ class Caps:
     component_enum: int = 10**6
     lq_generators: int = 64
     colex_enum: int = 10**6
+    nonface_unions: int = 1 << 20
 
 
 def _from_env(base: Caps) -> Caps:

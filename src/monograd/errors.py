@@ -17,6 +17,10 @@ class CapsFormatError(MonogradError, ValueError):
     """The MONOGRAD_CAPS environment variable cannot be parsed."""
 
 
+class ExponentOverflowError(MonogradError, OverflowError):
+    """An exponent exceeds the supported bound 2**31 - 1."""
+
+
 class ResourceCapError(MonogradError, RuntimeError):
     """A configured enumeration/search cap would be exceeded.
 

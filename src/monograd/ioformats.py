@@ -19,6 +19,24 @@ from .monomials import Monomial, MonomialIdeal
 _FACTOR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
 
 
+def _is_int(x) -> bool:
+    # JSON true/false arrive as bool, which Python counts as int
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _check_n(n) -> int:
+    if not _is_int(n) or n < 0:
+        raise DomainError("'n' must be a nonnegative integer")
+    return n
+
+
+def _check_list(doc: dict, key: str) -> list:
+    items = doc[key]
+    if not isinstance(items, (list, tuple)):
+        raise DomainError(f"'{key}' must be a list")
+    return items
+
+
 def parse_monomial_string(s: str, n: int) -> Monomial:
     s = s.strip()
     if s in ("1", ""):
@@ -46,21 +64,21 @@ def parse_ideal(doc: Union[str, dict], minimalize: bool = True) -> MonomialIdeal
         doc = json.loads(doc)
     if not isinstance(doc, dict) or "n" not in doc or "gens" not in doc:
         raise DomainError("ideal document must have 'n' and 'gens'")
-    n = doc["n"]
-    if not isinstance(n, int) or n < 0:
-        raise DomainError("'n' must be a nonnegative integer")
+    n = _check_n(doc["n"])
     gens = []
-    for g in doc["gens"]:
+    for g in _check_list(doc, "gens"):
         if isinstance(g, str):
             gens.append(parse_monomial_string(g, n))
-        else:
-            g = tuple(g)
+        elif isinstance(g, (list, tuple)):
             if len(g) != n:
                 raise DomainError(f"exponent list {list(g)} has length "
                                   f"{len(g)}, expected {n}")
-            if any((not isinstance(e, int)) or e < 0 for e in g):
+            if not all(_is_int(e) and e >= 0 for e in g):
                 raise DomainError(f"negative or non-integer exponent in {list(g)}")
-            gens.append(g)
+            gens.append(tuple(g))
+        else:
+            raise DomainError(f"generator {g!r} is neither an exponent list "
+                              "nor a string")
     if not minimalize:
         return n, gens
     return MonomialIdeal(n, gens)
@@ -79,7 +97,14 @@ def parse_graph(doc: Union[str, dict]) -> SimpleGraph:
         doc = json.loads(doc)
     if not isinstance(doc, dict) or "n" not in doc or "edges" not in doc:
         raise DomainError("graph document must have 'n' and 'edges'")
-    return SimpleGraph(doc["n"], [tuple(e) for e in doc["edges"]])
+    n = _check_n(doc["n"])
+    edges = []
+    for e in _check_list(doc, "edges"):
+        if not (isinstance(e, (list, tuple)) and len(e) == 2
+                and all(_is_int(v) for v in e)):
+            raise DomainError(f"edge {e!r} is not a pair of vertices")
+        edges.append(tuple(e))
+    return SimpleGraph(n, edges)
 
 
 def serialize_graph(G: SimpleGraph) -> dict:

@@ -6,6 +6,11 @@ minimal monomial generating set, canonically ordered (degree ascending,
 then lexicographically descending on exponent vectors), so equal ideals
 compare equal structurally and all outputs are byte-deterministic.
 
+Divisibility tests in the core are screened before any exponents are
+compared: a monomial of degree d is divisible only by monomials of degree
+< d (or itself), and v can divide u only if the support bitmask of v lies
+inside that of u.
+
 Variables are 1-based throughout the public API, matching x_1,...,x_n.
 """
 
@@ -13,11 +18,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from itertools import combinations
+from itertools import combinations, compress, count, repeat
+from operator import le, neg
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .caps import Caps, default_caps
-from .errors import DimensionMismatchError, DomainError, ResourceCapError
+from .errors import (DimensionMismatchError, DomainError,
+                     ExponentOverflowError, ResourceCapError)
 
 Monomial = tuple
 
@@ -47,13 +54,13 @@ def variable(n: int, i: int) -> Monomial:
 
 
 def divides(u: Monomial, v: Monomial) -> bool:
-    return all(a <= b for a, b in zip(u, v))
+    return all(map(le, u, v))
 
 
 def mono_mul(u: Monomial, v: Monomial) -> Monomial:
     w = tuple(a + b for a, b in zip(u, v))
     if any(e > EXPONENT_BOUND for e in w):
-        raise OverflowError(f"exponent exceeds bound {EXPONENT_BOUND}")
+        raise ExponentOverflowError(f"exponent exceeds bound {EXPONENT_BOUND}")
     return w
 
 
@@ -89,25 +96,32 @@ def monomial_str(u: Monomial) -> str:
 
 def canonical_key(u: Monomial):
     # degree ascending, then lexicographically descending exponent vectors
-    return (sum(u), tuple(-e for e in u))
+    return (sum(u), tuple(map(neg, u)))
 
 
 def monomials_of_degree(n: int, d: int):
-    """Yield all degree-d monomials in n variables, deterministically."""
-    if n == 0:
-        if d == 0:
+    """Yield all degree-d monomials in n variables, lexicographically
+    descending on exponent vectors (x_1^d first, x_n^d last)."""
+    if n == 0 or d < 0:
+        if n == d == 0:
             yield ()
         return
-
-    def rec(pos, remaining):
-        if pos == n - 1:
-            yield (remaining,)
+    u = [0] * n
+    u[0] = d
+    while True:
+        yield tuple(u)
+        # u[i+1:n-1] is zero for the last i < n-1 with u[i] > 0, so moving
+        # one unit from u[i] to u[i+1] together with all of u[n-1] gives
+        # the next exponent vector in descending lex order
+        i = n - 2
+        while i >= 0 and not u[i]:
+            i -= 1
+        if i < 0:
             return
-        for e in range(remaining, -1, -1):
-            for tail in rec(pos + 1, remaining - e):
-                yield (e,) + tail
-
-    yield from rec(0, d)
+        rest = u[-1] + 1
+        u[-1] = 0
+        u[i] -= 1
+        u[i + 1] = rest
 
 
 def squarefree_monomials_of_degree(n: int, d: int):
@@ -124,11 +138,21 @@ def _check_monomial(u, n: Optional[int]) -> Monomial:
         raise DimensionMismatchError(
             f"monomial {u} has length {len(u)}, expected {n}"
         )
-    if any((not isinstance(e, int)) or e < 0 for e in u):
+    if not u:
+        return u
+    if not all(map(isinstance, u, repeat(int))) or min(u) < 0:
         raise DomainError(f"monomial {u} has a negative or non-integer exponent")
-    if any(e > EXPONENT_BOUND for e in u):
-        raise OverflowError(f"exponent exceeds bound {EXPONENT_BOUND}")
+    if max(u) > EXPONENT_BOUND:
+        raise ExponentOverflowError(f"exponent exceeds bound {EXPONENT_BOUND}")
     return u
+
+
+def _support_mask(u: Monomial) -> int:
+    """Bit k set iff x_{k+1} divides u."""
+    m = 0
+    for k in compress(count(), u):
+        m |= 1 << k
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -141,14 +165,32 @@ class GeneratorStats(NamedTuple):
     support: frozenset
 
 
-def _minimal_elements(gens: Sequence[Monomial]) -> tuple:
-    """Divisibility-minimal elements, canonically sorted."""
-    ordered = sorted(set(gens), key=canonical_key)
-    kept = []
-    for u in ordered:
-        if not any(divides(v, u) for v in kept):
+def _minimal_elements(gens: Sequence[Monomial]):
+    """Divisibility-minimal elements, canonically sorted.
+
+    Returns (kept, degrees, support masks) as three parallel tuples.  Each
+    u is compared only with kept generators of strictly lower degree whose
+    support mask lies inside that of u, so equigenerated inputs need no
+    comparisons at all.
+    """
+    kept, degs, masks = [], [], []
+    lower = []  # (v, mask) for kept v with deg(v) < the current degree
+    for u in sorted(set(gens), key=canonical_key):
+        d = sum(u)
+        k = len(lower)
+        while k < len(kept) and degs[k] < d:
+            lower.append((kept[k], masks[k]))
+            k += 1
+        m = _support_mask(u)
+        outside = ~m
+        for v, vm in lower:
+            if not vm & outside and divides(v, u):
+                break
+        else:
             kept.append(u)
-    return tuple(kept)
+            degs.append(d)
+            masks.append(m)
+    return tuple(kept), tuple(degs), tuple(masks)
 
 
 class MonomialIdeal:
@@ -158,14 +200,18 @@ class MonomialIdeal:
     generators, the unit ideal is generated by the unit monomial.
     """
 
-    __slots__ = ("n", "gens")
+    __slots__ = ("n", "gens", "_degs", "_masks")
 
     def __init__(self, n: int, gens: Iterable = ()):
         if n < 0:
             raise DomainError("ambient variable count must be >= 0")
         checked = [_check_monomial(u, n) for u in gens]
+        kept, degs, masks = _minimal_elements(checked)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "gens", _minimal_elements(checked))
+        object.__setattr__(self, "gens", kept)
+        # the divisibility screen of each generator, for contains()
+        object.__setattr__(self, "_degs", degs)
+        object.__setattr__(self, "_masks", masks)
 
     def __setattr__(self, *args):
         raise AttributeError("MonomialIdeal is immutable")
@@ -247,7 +293,14 @@ class MonomialIdeal:
 
     def contains(self, u) -> bool:
         u = _check_monomial(u, self.n)
-        return any(divides(g, u) for g in self.gens)
+        d = sum(u)
+        outside = ~_support_mask(u)
+        for g, gd, gm in zip(self.gens, self._degs, self._masks):
+            if gd > d:
+                return False  # generators are degree-ascending
+            if not gm & outside and divides(g, u):
+                return True
+        return False
 
     def contains_ideal(self, other: "MonomialIdeal") -> bool:
         """True iff other <= self as ideals."""

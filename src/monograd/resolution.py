@@ -32,8 +32,6 @@ from .monomials import (
 )
 from .structure import UNDECIDED, linear_quotients_order
 
-_UNION_CAP = 1 << 20
-
 
 # ---------------------------------------------------------------------------
 # Betti tables
@@ -67,13 +65,14 @@ class BettiTable:
 # ---------------------------------------------------------------------------
 # Hochster's formula
 
-def _nonface_unions(delta: SimplicialComplex) -> List[int]:
+def _nonface_unions(delta: SimplicialComplex, caps: Caps) -> List[int]:
     """All unions of minimal nonfaces (bitmasks), the empty union included."""
     unions = {0}
     for m in delta.nonface_masks:
         unions |= {u | m for u in unions}
-        if len(unions) > _UNION_CAP:
-            raise ResourceCapError("nonface-unions", _UNION_CAP, len(unions))
+        if len(unions) > caps.nonface_unions:
+            raise ResourceCapError("nonface-unions", caps.nonface_unions,
+                                   len(unions))
     return sorted(unions)
 
 
@@ -90,17 +89,17 @@ def hochster_betti(I: MonomialIdeal, i: int, j: int) -> int:
     delta = stanley_reisner_complex(I)
     s = j - i - 1
     total = 0
-    for w in _nonface_unions(delta):
+    for w in _nonface_unions(delta, default_caps()):
         if bin(w).count("1") != j:
             continue
         total += delta.reduced_homology_dim(s, within=w)
     return total
 
 
-def _hochster_table(I: MonomialIdeal) -> BettiTable:
+def _hochster_table(I: MonomialIdeal, caps: Caps) -> BettiTable:
     delta = stanley_reisner_complex(I)
     entries: Dict[Tuple[int, int], int] = {}
-    for w in _nonface_unions(delta):
+    for w in _nonface_unions(delta, caps):
         j = bin(w).count("1")
         for s, h in delta.homology_profile(within=w).items():
             i = j - s - 1
@@ -110,12 +109,13 @@ def _hochster_table(I: MonomialIdeal) -> BettiTable:
     return BettiTable(entries, engine="hochster")
 
 
-def _hochster_regularity(I: MonomialIdeal) -> int:
+def _hochster_regularity(I: MonomialIdeal, caps: Caps) -> int:
     """reg(I) = 2 + max dimension of nonvanishing restricted homology."""
     delta = stanley_reisner_complex(I)
     best = -2  # below any dimension, including H_{-1} of the empty complex
     # larger W first: lets top-down scans stop early on dominated subsets
-    for w in sorted(_nonface_unions(delta), key=lambda m: -bin(m).count("1")):
+    for w in sorted(_nonface_unions(delta, caps),
+                    key=lambda m: -bin(m).count("1")):
         if w == 0:
             continue
         card = bin(w).count("1")
@@ -263,14 +263,14 @@ def betti_table(I: MonomialIdeal, engine: str = "auto",
         return koszul_betti_table(I, caps=caps)
     if engine in ("auto", "hochster"):
         if I.is_squarefree:
-            return _hochster_table(I)
+            return _hochster_table(I, caps)
         try:
             pol = polarize(I, caps)
         except ResourceCapError:
             if engine == "hochster":
                 raise
             return koszul_betti_table(I, caps=caps)
-        table = _hochster_table(pol.ideal)
+        table = _hochster_table(pol.ideal, caps)
         return BettiTable(table.entries, engine="hochster+polarization")
     raise DomainError(f"unknown Betti engine: {engine}")
 
@@ -315,9 +315,9 @@ def regularity(I: MonomialIdeal, engine: str = "auto",
 
 def _regularity_hochster_path(I: MonomialIdeal, caps: Caps) -> int:
     if I.is_squarefree:
-        return _hochster_regularity(I)
+        return _hochster_regularity(I, caps)
     pol = polarize(I, caps)
-    return _hochster_regularity(pol.ideal)
+    return _hochster_regularity(pol.ideal, caps)
 
 
 # ---------------------------------------------------------------------------

@@ -123,19 +123,54 @@ def test_cli_verify(capsys):
     assert run_cli(["verify", "kk-remark", "--json"]) == 2
 
 
-def test_cli_malformed_input(tmp_path):
+def test_cli_malformed_input(tmp_path, capsys):
     p = tmp_path / "broken.json"
     p.write_text("{not json")
     assert run_cli(["reg", str(p)]) == 2
     p2 = tmp_path / "neg.json"
     p2.write_text(json.dumps({"n": 2, "gens": [[-1, 0]]}))
     assert run_cli(["reg", str(p2)]) == 2
+    # malformed document shapes and an exponent above 2^31 - 1: exit 2
+    # with one error line, no traceback
+    bad = [("reg", {"n": 2, "gens": 5}),
+           ("reg", {"n": 2, "gens": "x1"}),
+           ("reg", {"n": 2, "gens": [5]}),
+           ("reg", {"n": 2, "gens": [None]}),
+           ("reg", {"n": True, "gens": []}),
+           ("reg", {"n": 2, "gens": [[True, 0]]}),
+           ("reg", {"n": 2, "gens": [[1, False]]}),
+           ("reg", {"n": 2, "gens": [[3000000000, 0]]}),
+           ("graph", {"n": 3, "edges": 5}),
+           ("graph", {"n": 3, "edges": [1]}),
+           ("graph", {"n": 3, "edges": [[1, 2, 3]]}),
+           ("graph", {"n": 3, "edges": [["1", "2"]]}),
+           ("graph", {"n": True, "edges": []})]
+    capsys.readouterr()
+    for k, (command, doc) in enumerate(bad):
+        f = tmp_path / f"bad{k}.json"
+        f.write_text(json.dumps(doc))
+        argv = ["reg", str(f)] if command == "reg" else ["graph", "edge", str(f)]
+        assert run_cli(argv) == 2, doc
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), doc
 
 
-@pytest.mark.parametrize("setting", ["nonface-unions=5", "lq-generators=abc"])
+@pytest.mark.parametrize("setting", ["no-such-cap=5", "lq-generators=abc"])
 def test_cli_malformed_caps_setting(ideal_file, monkeypatch, capsys, setting):
     f = ideal_file({"n": 2, "gens": [[1, 1]]})
     monkeypatch.setenv("MONOGRAD_CAPS", setting)
     assert run_cli(["reg", f]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_cli_nonface_unions_cap(ideal_file, monkeypatch, capsys):
+    # two disjoint minimal nonfaces have four unions, the empty one included
+    f = ideal_file({"n": 4, "gens": ["x1*x2", "x3*x4"]})
+    monkeypatch.setenv("MONOGRAD_CAPS", "nonface-unions=3")
+    assert run_cli(["betti", f, "--engine", "hochster"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "nonface-unions" in err[0]
+    monkeypatch.setenv("MONOGRAD_CAPS", "nonface-unions=4")
+    assert run_cli(["betti", f, "--engine", "hochster", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["regularity"] == 3

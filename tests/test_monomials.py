@@ -1,11 +1,15 @@
+import math
+import random
+from itertools import product
+
 import pytest
 
-from monograd.errors import DomainError, ResourceCapError
+from monograd.errors import DomainError, ExponentOverflowError, ResourceCapError
 from monograd.caps import Caps
-from monograd.monomials import (MonomialIdeal, deg, divides,
-                                is_complete_intersection, minimalize,
-                                mono_div, mono_gcd, mono_lcm, mono_mul,
-                                monomial_str, monomials_of_degree,
+from monograd.monomials import (EXPONENT_BOUND, MonomialIdeal, canonical_key,
+                                deg, divides, is_complete_intersection,
+                                minimalize, mono_div, mono_gcd, mono_lcm,
+                                mono_mul, monomial_str, monomials_of_degree,
                                 squarefree_monomials_of_degree, supp,
                                 veronese_type)
 
@@ -119,6 +123,141 @@ def test_complete_intersection():
 
 
 def test_monomial_enumeration():
-    assert len(list(monomials_of_degree(3, 2))) == 6
     assert len(list(squarefree_monomials_of_degree(4, 2))) == 6
     assert list(squarefree_monomials_of_degree(2, 3)) == []
+    # monomials_of_degree yields in descending lex order
+    assert list(monomials_of_degree(3, 2)) == [
+        (2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)]
+    assert list(monomials_of_degree(2, 3)) == [(3, 0), (2, 1), (1, 2), (0, 3)]
+    assert list(monomials_of_degree(4, 1)) == [
+        (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+    assert list(monomials_of_degree(1, 3)) == [(3,)]
+    assert list(monomials_of_degree(3, 0)) == [(0, 0, 0)]
+    assert list(monomials_of_degree(0, 0)) == [()]
+    assert list(monomials_of_degree(0, 2)) == []
+    for n in range(1, 6):
+        for d in range(6):
+            out = list(monomials_of_degree(n, d))
+            assert out == sorted(set(out), reverse=True)
+            assert all(sum(u) == d for u in out)
+            assert len(out) == math.comb(n + d - 1, d)
+
+
+def test_monomials_of_degree_many_variables():
+    # one generator per variable: no recursion depth proportional to n
+    m = MonomialIdeal.maximal(1500)
+    assert m.degree_component(1) == m
+
+
+def test_exponent_overflow_is_typed():
+    with pytest.raises(ExponentOverflowError):
+        MonomialIdeal(2, [(EXPONENT_BOUND + 1, 0)])
+    with pytest.raises(ExponentOverflowError):
+        mono_mul((EXPONENT_BOUND, 0), (1, 0))
+    with pytest.raises(OverflowError):
+        MonomialIdeal(1, [(1,)]).contains((EXPONENT_BOUND + 1,))
+    assert MonomialIdeal(1, [(EXPONENT_BOUND,)]).contains((EXPONENT_BOUND,))
+
+
+# ---------------------------------------------------------------------------
+# oracle for the screened minimalization and membership test
+
+def _divides(v, u):
+    return all(a <= b for a, b in zip(v, u))
+
+
+def _brute_minimal(gens):
+    """All-pairs minimalization, canonically sorted."""
+    distinct = set(gens)
+    return tuple(sorted((u for u in distinct
+                         if not any(v != u and _divides(v, u) for v in distinct)),
+                        key=canonical_key))
+
+
+def _member_by_divisor_lookup(u, gens):
+    """u lies in the ideal iff one of its divisors is a generator; divisors
+    are enumerated over the exponent values the generators use."""
+    gens_set = set(gens)
+    choices = [sorted({g[k] for g in gens if g[k] <= e})
+               for k, e in enumerate(u)]
+    return any(d in gens_set for d in product(*choices))
+
+
+def _oracle_cases():
+    """(n, raw generators, membership queries) on seeded draws."""
+    rng = random.Random(2024)
+
+    def draw(n, degree, top, support=None):
+        u = [0] * n
+        places = rng.sample(range(n), support) if support else range(n)
+        for _ in range(degree):
+            u[rng.choice(places)] += 1
+        return tuple(min(e, top) for e in u)
+
+    def noisy(n, gens):
+        # duplicates and non-minimal multiples of the drawn generators
+        raw = list(gens)
+        for _ in range(len(gens) // 2 + 1):
+            if gens:
+                raw.append(rng.choice(gens))
+                raw.append(tuple(e + rng.randint(0, 2)
+                                 for e in rng.choice(gens)))
+        rng.shuffle(raw)
+        return raw
+
+    def queries(n, gens, count):
+        out = []
+        for k in range(count):
+            if gens and k % 3 == 0:
+                u = list(rng.choice(gens))  # a generator, multiple or divisor
+                i = rng.randrange(n)
+                u[i] = max(0, u[i] + rng.choice((-1, 0, 1, 2)))
+                out.append(tuple(u))
+            else:
+                out.append(draw(n, rng.randint(0, 8), 8))
+        return out
+
+    cases = []
+    for _ in range(40):  # mixed degrees, not squarefree
+        n = rng.randint(2, 7)
+        gens = [draw(n, rng.randint(1, 7), 4) for _ in range(rng.randint(1, 25))]
+        cases.append((n, noisy(n, gens), queries(n, gens, 40)))
+    for _ in range(15):  # equigenerated, squarefree and not
+        n, d = rng.randint(3, 8), rng.randint(2, 4)
+        gens = [draw(n, d, 1 if rng.random() < 0.5 else d)
+                for _ in range(rng.randint(1, 30))]
+        gens = [u for u in gens if sum(u) == d] or [draw(n, d, d)]
+        cases.append((n, gens + gens[:3], queries(n, gens, 40)))
+    for _ in range(10):  # exponents up to the bound
+        n = rng.randint(1, 3)
+        values = (0, 1, 2, EXPONENT_BOUND - 1, EXPONENT_BOUND,
+                  rng.randint(3, EXPONENT_BOUND))
+        gens = [tuple(rng.choice(values) for _ in range(n))
+                for _ in range(rng.randint(1, 8))]
+        qs = [tuple(rng.choice(values) for _ in range(n)) for _ in range(30)]
+        cases.append((n, gens, qs + gens))
+    for n in (70, 130):  # support masks wider than 64 bits
+        for _ in range(5):
+            gens = [draw(n, rng.randint(1, 5), 3, support=4)
+                    for _ in range(rng.randint(5, 40))]
+            qs = queries(n, gens, 20)
+            qs += [draw(n, rng.randint(1, 8), 4, support=6) for _ in range(20)]
+            cases.append((n, noisy(n, gens), qs))
+    for n in (0, 1, 3, 70):  # zero and unit ideals
+        unit = (0,) * n
+        qs = [unit] + ([draw(n, 2, 2)] if n else [])
+        cases.append((n, [], qs))
+        cases.append((n, [unit, unit] + ([draw(n, 3, 3)] if n else []), qs))
+    return cases
+
+
+def test_screened_minimalization_and_contains_match_oracles():
+    checked = 0
+    for n, raw, queries in _oracle_cases():
+        ideal = MonomialIdeal(n, raw)
+        assert ideal.gens == _brute_minimal(raw), (n, raw)
+        for u in queries:
+            assert ideal.contains(u) == _member_by_divisor_lookup(u, ideal.gens), \
+                (n, raw, u)
+            checked += 1
+    assert checked > 2500
