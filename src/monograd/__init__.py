@@ -15,8 +15,8 @@ from .graphs import (QuadraticDecomposition, RegGapFamily, SimpleGraph,
                      complementary_edge_ideal, edge_ideal, family_overlap_run,
                      family_reg_gap, gradient_power_closed_form, is_connected,
                      peel_order, quadratic_decomposition, underlying_graph)
-from .ioformats import (ideal_to_json, parse_graph, parse_ideal,
-                        parse_monomial_string, serialize_graph,
+from .ioformats import (ideal_to_json, parse_generators, parse_graph,
+                        parse_ideal, parse_monomial_string, serialize_graph,
                         serialize_ideal)
 from .kruskal import (MacaulayRep, closed_form_count, closed_form_shadow,
                       colex_shadow_oracle, macaulay_rep,
@@ -26,9 +26,8 @@ from .monomials import (GeneratorStats, MonomialIdeal, deg,
                         supp, veronese_type)
 from .complexes import (SimplicialComplex, stanley_reisner_complex,
                         stanley_reisner_ideal)
-from .resolution import (BettiTable, CycleCertificate,
-                         DifferentialLinearReport, Polarization, betti_table,
-                         cycle_certificate, has_differential_linear_resolution,
+from .resolution import (BettiTable, DifferentialLinearReport, Polarization,
+                         betti_table, has_differential_linear_resolution,
                          has_linear_resolution, hochster_betti, koszul_betti,
                          koszul_betti_table, polarize, regularity)
 from .structure import (UNDECIDED, QuotientOrder, has_linear_quotients,
@@ -36,6 +35,7 @@ from .structure import (UNDECIDED, QuotientOrder, has_linear_quotients,
                         is_stable, is_strongly_stable, is_vertex_splittable,
                         linear_quotients_order, stable_closure,
                         strongly_stable_closure, vertex_split_tree)
-from .verify import Report, VERIFY_IDS, random_ideal, verify_theorem
+from .verify import (CycleCertificate, Report, VERIFY_IDS, cycle_certificate,
+                     random_ideal, verify_theorem)
 
 __version__ = "1.0.0"

@@ -15,8 +15,8 @@ from .errors import DomainError, MonogradError
 from .gradient import iterated_gradient
 from .graphs import (complementary_edge_ideal, edge_ideal, family_overlap_run,
                      family_reg_gap)
-from .ioformats import (ideal_to_json, parse_graph, parse_ideal,
-                        serialize_ideal)
+from .ioformats import (ideal_to_json, parse_generators, parse_graph,
+                        parse_ideal, serialize_ideal)
 from .kruskal import (closed_form_count, closed_form_shadow, colex_shadow_oracle,
                       macaulay_rep, shadow_bound)
 from .monomials import MonomialIdeal, is_complete_intersection, monomial_str
@@ -41,9 +41,9 @@ _CHECKS = {
 }
 
 
-def _load_ideal(path: str, minimalize: bool = True) -> MonomialIdeal:
+def _load_ideal(path: str) -> MonomialIdeal:
     with open(path) as fh:
-        return parse_ideal(json.load(fh), minimalize=minimalize)
+        return parse_ideal(json.load(fh))
 
 
 def _load_graph(path: str):
@@ -133,7 +133,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_stats(args, as_json: bool) -> int:
     if args.no_minimalize:
         with open(args.file) as fh:
-            n, gens = parse_ideal(json.load(fh), minimalize=False)
+            n, gens = parse_generators(json.load(fh))
         doc = {"n": n, "raw_generators": [monomial_str(u) for u in gens],
                "raw_count": len(gens)}
         I = MonomialIdeal(n, gens)

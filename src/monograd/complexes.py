@@ -48,7 +48,7 @@ def _antichain(masks: Iterable[int]) -> Tuple[int, ...]:
 class SimplicialComplex:
     """Complex on [n] determined by its minimal nonfaces."""
 
-    __slots__ = ("n", "nonface_masks", "void", "_face_cache")
+    __slots__ = ("n", "nonface_masks", "void")
 
     def __init__(self, n: int, minimal_nonfaces: Iterable[Iterable[int]] = (),
                  void: bool = False):
@@ -59,7 +59,6 @@ class SimplicialComplex:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "nonface_masks", () if void else masks)
         object.__setattr__(self, "void", void)
-        object.__setattr__(self, "_face_cache", {})
 
     def __setattr__(self, *args):
         raise AttributeError("SimplicialComplex is immutable")
@@ -73,12 +72,8 @@ class SimplicialComplex:
         return frozenset(_from_mask(m) for m in self.nonface_masks)
 
     def is_face(self, vertices: Iterable[int]) -> bool:
-        if self.void:
-            return False
         w = _to_mask(vertices)
-        if w >> self.n:
-            return False
-        return not any(m & w == m for m in self.nonface_masks)
+        return not w >> self.n and self._is_face_mask(w)
 
     def _is_face_mask(self, w: int) -> bool:
         if self.void:
@@ -112,17 +107,17 @@ class SimplicialComplex:
         """
         if within is None:
             within = (1 << self.n) - 1
-        cached = self._face_cache.get(within)
-        if cached is not None:
-            return cached
         out: Dict[int, List[int]] = {}
         if self.void:
-            self._face_cache[within] = out
             return out
         out[0] = [0]
         frontier = [0]
         card = 0
         vbits = [i for i in range(self.n) if within >> i & 1]
+        # f + i is a face unless it contains a minimal nonface through i,
+        # and only those inside `within` can be contained in it
+        through = {i: [m for m in self.nonface_masks
+                       if m >> i & 1 and m & within == m] for i in vbits}
         while frontier:
             card += 1
             nxt = []
@@ -134,12 +129,11 @@ class SimplicialComplex:
                     if i < start:
                         continue
                     g = f | (1 << i)
-                    if self._is_face_mask(g):
+                    if not any(m & g == m for m in through[i]):
                         nxt.append(g)
             if nxt:
                 out[card] = nxt
             frontier = nxt
-        self._face_cache[within] = out
         return out
 
     # -- restriction ------------------------------------------------------
@@ -166,57 +160,27 @@ class SimplicialComplex:
         face order (cardinality, then sorted vertex tuples).
         """
         faces = self.faces_by_cardinality(within)
-        source = faces.get(s + 1, [])
-        target = faces.get(s, [])
-        tindex = {f: i for i, f in enumerate(target)}
-        cols = []
-        for f in source:
-            col = {}
-            verts = sorted(_from_mask(f))
-            for k, p in enumerate(verts):
-                g = f & ~(1 << (p - 1))
-                # sgn(p;F) = number of q in F with q < p
-                col[tindex[g]] = -1 if k % 2 else 1
-            cols.append(col)
-        return cols, len(target), len(source)
+        return (_boundary_columns(faces, s + 1), len(faces.get(s, ())),
+                len(faces.get(s + 1, ())))
 
-    def _rank_of_boundary(self, s: int, within: Optional[int],
-                          memo: Dict[int, int]) -> int:
-        if s in memo:
-            return memo[s]
-        cols, _, _ = self.boundary_matrix(s, within)
-        r = sparse_rank(cols)
-        memo[s] = r
-        return r
-
-    def reduced_homology_dim(self, s: int, within: Optional[int] = None,
-                             _memo: Optional[Dict[int, int]] = None) -> int:
+    def reduced_homology_dim(self, s: int, within: Optional[int] = None) -> int:
         """dim of the s-th reduced homology over the rationals."""
-        if self.void:
-            return 0
         faces = self.faces_by_cardinality(within)
-        dim_cs = len(faces.get(s + 1, []))
+        dim_cs = len(faces.get(s + 1, ()))
         if dim_cs == 0:
             return 0
-        memo = _memo if _memo is not None else {}
-        rk_s = self._rank_of_boundary(s, within, memo)
-        rk_s1 = self._rank_of_boundary(s + 1, within, memo)
-        return dim_cs - rk_s - rk_s1
+        return (dim_cs - _boundary_rank(faces, s + 1)
+                - _boundary_rank(faces, s + 2))
 
     def homology_profile(self, within: Optional[int] = None) -> Dict[int, int]:
         """All nonzero reduced homology dimensions, by dimension s."""
-        if self.void:
-            return {}
         faces = self.faces_by_cardinality(within)
-        if not faces:
-            return {}
-        memo: Dict[int, int] = {}
-        top = max(faces)
+        ranks = [_boundary_rank(faces, c) for c in range(len(faces))] + [0]
         out = {}
-        for s in range(-1, top):
-            h = self.reduced_homology_dim(s, within, memo)
+        for c in range(len(faces)):
+            h = len(faces[c]) - ranks[c] - ranks[c + 1]
             if h:
-                out[s] = h
+                out[c - 1] = h
         return out
 
     def top_nonzero_homology(self, within: Optional[int] = None,
@@ -225,17 +189,36 @@ class SimplicialComplex:
 
         Dimensions <= stop_below are not examined (returns None if nothing
         above them is nonzero)."""
-        if self.void:
-            return None
         faces = self.faces_by_cardinality(within)
-        if not faces:
-            return None
-        memo: Dict[int, int] = {}
-        top = max(faces) - 1
-        for s in range(top, stop_below, -1):
-            if self.reduced_homology_dim(s, within, memo):
-                return s
+        rank_above = 0
+        for c in range(len(faces) - 1, stop_below + 1, -1):
+            rank = _boundary_rank(faces, c)
+            if len(faces[c]) - rank - rank_above:
+                return c - 1
+            rank_above = rank
         return None
+
+
+def _boundary_columns(faces: Dict[int, List[int]], card: int) -> List[Dict[int, int]]:
+    """Columns of the boundary map from the faces of cardinality `card` to
+    those of cardinality card - 1, indexed by position in `faces`."""
+    index = {f: i for i, f in enumerate(faces.get(card - 1, ()))}
+    cols = []
+    for f in faces.get(card, ()):
+        col = {}
+        sign = 1  # (-1)^k for the k-th smallest vertex of f
+        rest = f
+        while rest:
+            low = rest & -rest
+            col[index[f ^ low]] = sign
+            sign = -sign
+            rest ^= low
+        cols.append(col)
+    return cols
+
+
+def _boundary_rank(faces: Dict[int, List[int]], card: int) -> int:
+    return sparse_rank(_boundary_columns(faces, card))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,17 @@
 """Exact rank of integer matrices over the rationals.
 
-Sparse elimination that pivots on +-1 entries for as long as possible
-(keeps everything integral, which suits boundary matrices well), with a
-dense fraction-free Bareiss pass on whatever small core remains.  Row
-scaling by the row gcd keeps entries from blowing up; rank is invariant
-under it.
+`sparse_rank` is the production kernel: a fraction-free column reduction,
+the one used for persistent homology (Edelsbrunner-Letscher-Zomorodian,
+2002).  Columns are taken in order; each is reduced against the earlier
+reduced column with the same lowest (largest-index) nonzero row until it
+vanishes or claims that row as its own.  The rank is the number of
+columns that claim a row.  Every step is an integer column operation
+that keeps the column space over Q: a +-1 pivot is subtracted as is; any
+other pivot p clears entry c through (p/g)*col - (c/g)*pivot with
+g = gcd(p, c), after which the column is divided by its content.
+
+`bareiss_rank` is a dense fraction-free elimination kept as an
+independent oracle for tests.
 """
 
 from math import gcd
@@ -31,8 +38,8 @@ def bareiss_rank(rows):
         p = m[r][c]
         for i in range(r + 1, nrows):
             f = m[i][c]
-            if f == 0 and prev == 1:
-                continue
+            if f == 0 and p == prev:
+                continue  # the update would leave this row unchanged
             row_i, row_r = m[i], m[r]
             for j in range(c, ncols):
                 row_i[j] = (row_i[j] * p - f * row_r[j]) // prev
@@ -44,86 +51,35 @@ def bareiss_rank(rows):
     return rank
 
 
-def _row_gcd_reduce(row):
-    g = 0
-    for v in row.values():
-        g = gcd(g, v)
-        if g == 1:
-            return
-    if g > 1:
-        for c in row:
-            row[c] //= g
-
-
 def sparse_rank(columns):
     """Rank of a sparse integer matrix given as columns: dicts row->value."""
-    # store by rows for elimination
-    rows = {}
-    for c, col in enumerate(columns):
-        for r, v in col.items():
-            if v:
-                rows.setdefault(r, {})[c] = v
-    rows = list(rows.values())
-    col_index = {}
-    for ri, row in enumerate(rows):
-        for c in row:
-            col_index.setdefault(c, set()).add(ri)
-
-    active = set(range(len(rows)))
-    rank = 0
-    while True:
-        # choose a +-1 pivot with a cheap Markowitz-style fill estimate
-        best = None
-        best_cost = None
-        for ri in active:
-            row = rows[ri]
-            rlen = len(row)
-            for c, v in row.items():
-                if v == 1 or v == -1:
-                    cost = (rlen - 1) * (len(col_index[c]) - 1)
-                    if best_cost is None or cost < best_cost:
-                        best, best_cost = (ri, c), cost
-                        if cost == 0:
-                            break
-            if best_cost == 0:
+    pivots = {}  # lowest row -> (its entry, the rest of the reduced column)
+    for column in columns:
+        col = {r: v for r, v in column.items() if v}
+        while col:
+            low = max(col)
+            c = col.pop(low)  # every step below cancels this entry exactly
+            if low not in pivots:
+                pivots[low] = c, col
                 break
-        if best is None:
-            break
-        ri, c = best
-        pivot_row = rows[ri]
-        pv = pivot_row[c]
-        active.discard(ri)
-        rank += 1
-        for rj in list(col_index[c]):
-            if rj == ri or rj not in active:
-                continue
-            row = rows[rj]
-            f = row[c] * pv  # pv is +-1, so f/pv = f*pv
-            for pc, pvv in pivot_row.items():
-                nv = row.get(pc, 0) - f * pvv
-                if nv:
-                    if pc not in row:
-                        col_index.setdefault(pc, set()).add(rj)
-                    row[pc] = nv
-                else:
-                    if pc in row:
-                        del row[pc]
-                        col_index[pc].discard(rj)
-            if not row:
-                active.discard(rj)
+            p, tail = pivots[low]
+            unit = p == 1 or p == -1
+            if unit:
+                f = c * p
             else:
-                _row_gcd_reduce(row)
-        for pc in pivot_row:
-            col_index[pc].discard(ri)
-
-    # dense fallback on the residue (no +-1 entries left)
-    residue = [rows[ri] for ri in active if rows[ri]]
-    if residue:
-        cols = sorted({c for row in residue for c in row})
-        remap = {c: j for j, c in enumerate(cols)}
-        dense = [[0] * len(cols) for _ in residue]
-        for i, row in enumerate(residue):
-            for c, v in row.items():
-                dense[i][remap[c]] = v
-        rank += bareiss_rank(dense)
-    return rank
+                g = gcd(p, c)
+                a, f = p // g, c // g
+                for r in col:
+                    col[r] *= a
+            for r, v in tail.items():
+                nv = col.get(r, 0) - f * v
+                if nv:
+                    col[r] = nv
+                else:
+                    del col[r]
+            if not unit and col:
+                g = gcd(*col.values())
+                if g > 1:
+                    for r in col:
+                        col[r] //= g
+    return len(pivots)

@@ -79,21 +79,7 @@ def complementary_edge_ideal(G: SimpleGraph) -> MonomialIdeal:
 
 def is_connected(G: SimpleGraph) -> bool:
     """Connectivity over all of [n]; isolated vertices disconnect."""
-    if G.n <= 1:
-        return True
-    adj = {v: set() for v in range(1, G.n + 1)}
-    for i, j in G.edge_pairs():
-        adj[i].add(j)
-        adj[j].add(i)
-    seen = {1}
-    stack = [1]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == G.n
+    return _connected_on(list(range(1, G.n + 1)), G.edges)
 
 
 def peel_order(G: SimpleGraph) -> List[int]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import re
-from typing import Union
+from typing import List, Tuple, Union
 
 from .errors import DomainError
 from .graphs import SimpleGraph
@@ -54,12 +54,9 @@ def parse_monomial_string(s: str, n: int) -> Monomial:
     return tuple(exps)
 
 
-def parse_ideal(doc: Union[str, dict], minimalize: bool = True) -> MonomialIdeal:
-    """MonomialIdeal from a JSON document (string or parsed dict).
-
-    With minimalize=False the raw generators are kept (diagnostics only);
-    they are returned as a (n, gens) pair in that case.
-    """
+def parse_generators(doc: Union[str, dict]) -> Tuple[int, List[Monomial]]:
+    """(n, raw generators) of a JSON ideal document (string or parsed
+    dict), validated but not minimalized."""
     if isinstance(doc, str):
         doc = json.loads(doc)
     if not isinstance(doc, dict) or "n" not in doc or "gens" not in doc:
@@ -79,9 +76,12 @@ def parse_ideal(doc: Union[str, dict], minimalize: bool = True) -> MonomialIdeal
         else:
             raise DomainError(f"generator {g!r} is neither an exponent list "
                               "nor a string")
-    if not minimalize:
-        return n, gens
-    return MonomialIdeal(n, gens)
+    return n, gens
+
+
+def parse_ideal(doc: Union[str, dict]) -> MonomialIdeal:
+    """MonomialIdeal from a JSON document (string or parsed dict)."""
+    return MonomialIdeal(*parse_generators(doc))
 
 
 def serialize_ideal(I: MonomialIdeal) -> dict:

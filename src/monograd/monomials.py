@@ -405,19 +405,29 @@ def veronese_type(n: int, a: Sequence[int], d: int) -> MonomialIdeal:
         )
         return MonomialIdeal.zero(n)
 
+    # bounded compositions of d in descending lexicographic order: fill
+    # greedily from the left, then lower the rightmost exponent whose tail
+    # can still absorb one more unit and refill that tail
+    cap = [0] * (n + 1)  # cap[i] = a[i] + ... + a[n-1]
+    for i in range(n - 1, -1, -1):
+        cap[i] = cap[i + 1] + a[i]
     gens = []
-
-    def rec(pos, remaining, prefix):
-        if pos == n:
-            if remaining == 0:
-                gens.append(tuple(prefix))
-            return
-        if remaining > sum(a[pos:]):
-            return
-        for e in range(min(a[pos], remaining), -1, -1):
-            rec(pos + 1, remaining - e, prefix + [e])
-
-    rec(0, d, [])
+    e = [0] * n
+    i, s = -1, d
+    while s >= 0:
+        for j in range(i + 1, n):
+            e[j] = min(a[j], s)
+            s -= e[j]
+        gens.append(tuple(e))
+        s = 0
+        for i in range(n - 1, -1, -1):
+            if e[i] and s < cap[i + 1]:
+                e[i] -= 1
+                s += 1
+                break
+            s += e[i]
+        else:
+            break
     return MonomialIdeal(n, gens)
 
 

@@ -27,8 +27,9 @@ from .kruskal import (closed_form_count, closed_form_shadow,
 from .monomials import (MonomialIdeal, is_complete_intersection,
                         monomials_of_degree, squarefree_monomials_of_degree,
                         veronese_type)
-from .resolution import (cycle_certificate, has_differential_linear_resolution,
-                         hochster_betti, regularity)
+from .complexes import stanley_reisner_complex
+from .resolution import (has_differential_linear_resolution, hochster_betti,
+                         regularity)
 from .structure import (is_polymatroidal, is_stable, is_strongly_stable,
                         is_vertex_splittable, linear_quotients_order,
                         stable_closure, strongly_stable_closure)
@@ -205,6 +206,83 @@ def _suite_thm22(rep: Report, params: dict, rng: random.Random) -> None:
         rep.add(f"a={a}: reg(I)", fam.expected_reg, r, fam.ideal)
         rep.add(f"a={a}: reg(grad(I))", fam.expected_reg_gradient, rg, fam.ideal)
         rep.add(f"a={a}: reg(I) - reg(grad(I))", a, r - rg, fam.ideal)
+
+
+# witness cycle for the overlapping-window family of Theorem 2.3
+
+@dataclass(frozen=True)
+class CycleCertificate:
+    d: int
+    no_top_faces: bool
+    all_pairs_are_faces: bool
+    chain_is_nonzero_cycle: bool
+    chain_support_size: int
+    failures: Tuple[str, ...] = ()
+
+    @property
+    def passed(self) -> bool:
+        return (self.no_top_faces and self.all_pairs_are_faces
+                and self.chain_is_nonzero_cycle)
+
+    def __bool__(self):
+        return self.passed
+
+
+def cycle_certificate(d: int) -> CycleCertificate:
+    """Builds the witness cycle showing the gradient of the overlapping
+    window family has a nonvanishing Betti number in degree 2d-2."""
+    if d < 3:
+        raise DomainError("cycle certificate needs d >= 3")
+    I = family_overlap_run(d)
+    delta = stanley_reisner_complex(gradient(I))
+    n = 2 * d
+    W = sorted(set(range(1, d)) | set(range(d + 2, n + 1)))
+    wmask = 0
+    for v in W:
+        wmask |= 1 << (v - 1)
+    failures = []
+
+    # (a) no faces of cardinality 2d-3 inside W
+    faces = delta.faces_by_cardinality(within=wmask)
+    no_top = not faces.get(2 * d - 3)
+    if not no_top:
+        failures.append(f"found {len(faces[2 * d - 3])} faces of size {2*d-3}")
+
+    # (b) every W \ {p,q} with p in the low block, q in the high block
+    low = list(range(1, d))
+    high = list(range(d + 2, n + 1))
+    pairs_ok = True
+    chain: Dict[int, int] = {}
+    for p in low:
+        for q in high:
+            m = wmask & ~(1 << (p - 1)) & ~(1 << (q - 1))
+            if not delta._is_face_mask(m):
+                pairs_ok = False
+                failures.append(f"W minus {{{p},{q}}} is not a face")
+            chain[m] = (-1) ** (p + q)
+
+    # (c) the signed chain is nonzero with vanishing boundary
+    boundary: Dict[int, int] = {}
+    for m, coeff in chain.items():
+        verts = sorted(v + 1 for v in range(n) if m >> v & 1)
+        for k, p in enumerate(verts):
+            g = m & ~(1 << (p - 1))
+            sign = -1 if k % 2 else 1
+            boundary[g] = boundary.get(g, 0) + coeff * sign
+    is_cycle = bool(chain) and any(chain.values()) and \
+        all(v == 0 for v in boundary.values())
+    if not is_cycle:
+        bad = [g for g, v in boundary.items() if v][:3]
+        failures.append(f"boundary does not vanish on {len(bad)}+ faces")
+
+    return CycleCertificate(
+        d=d,
+        no_top_faces=no_top,
+        all_pairs_are_faces=pairs_ok,
+        chain_is_nonzero_cycle=is_cycle,
+        chain_support_size=len(chain),
+        failures=tuple(failures),
+    )
 
 
 def _suite_thm23(rep: Report, params: dict, rng: random.Random) -> None:

@@ -5,7 +5,8 @@ import pytest
 
 from monograd.cli import run_cli
 from monograd.errors import DomainError
-from monograd.ioformats import (ideal_to_json, parse_graph, parse_ideal,
+from monograd.ioformats import (ideal_to_json, parse_generators,
+                                parse_graph, parse_ideal,
                                 parse_monomial_string, serialize_graph,
                                 serialize_ideal)
 from monograd.monomials import MonomialIdeal
@@ -39,7 +40,7 @@ def test_parse_ideal_both_encodings():
 
 
 def test_parse_without_minimalization():
-    n, gens = parse_ideal({"n": 2, "gens": ["x1", "x1^2"]}, minimalize=False)
+    n, gens = parse_generators({"n": 2, "gens": ["x1", "x1^2"]})
     assert len(gens) == 2
 
 

@@ -115,6 +115,24 @@ def test_veronese_type():
         assert veronese_type(2, (1, 1), 3).is_zero
 
 
+def test_veronese_type_matches_filtered_enumeration():
+    rng = random.Random(31)
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        a = [rng.randint(0, 3) for _ in range(n)]
+        d = rng.randint(0, sum(a))
+        expected = [u for u in monomials_of_degree(n, d)
+                    if all(e <= b for e, b in zip(u, a))]
+        assert veronese_type(n, a, d) == MonomialIdeal(n, expected)
+    assert veronese_type(0, (), 0).is_unit
+    assert veronese_type(3, (1, 1, 1), -1).is_zero
+
+
+def test_veronese_type_many_variables():
+    # no recursion depth proportional to n
+    assert veronese_type(1500, [1] * 1500, 1) == MonomialIdeal.maximal(1500)
+
+
 def test_complete_intersection():
     assert is_complete_intersection(I(4, "x1*x2", "x3^2"))
     assert not is_complete_intersection(I(3, "x1*x2", "x2*x3"))

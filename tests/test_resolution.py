@@ -7,11 +7,11 @@ from monograd.errors import DomainError, ResourceCapError
 from monograd.gradient import gradient, iterated_gradient
 from monograd.graphs import family_overlap_run, family_reg_gap
 from monograd.monomials import MonomialIdeal
-from monograd.resolution import (betti_table, cycle_certificate,
+from monograd.resolution import (betti_table,
                                  has_differential_linear_resolution,
                                  has_linear_resolution, hochster_betti,
                                  koszul_betti, polarize, regularity)
-from monograd.verify import random_ideal
+from monograd.verify import cycle_certificate, random_ideal
 
 
 def I(n, *strs):
