@@ -10,7 +10,8 @@ bounds, all over the integers with no floating point anywhere.
 from .caps import Caps, default_caps
 from .errors import (CapsFormatError, DimensionMismatchError, DomainError,
                      ExponentOverflowError, MonogradError, ResourceCapError)
-from .gradient import gradient, gradient_via_colon, iterated_gradient
+from .gradient import (gradient, gradient_chain, gradient_via_colon,
+                       iterated_gradient)
 from .graphs import (QuadraticDecomposition, RegGapFamily, SimpleGraph,
                      complementary_edge_ideal, edge_ideal, family_overlap_run,
                      family_reg_gap, gradient_power_closed_form, is_connected,

@@ -237,7 +237,9 @@ def _cmd_verify(args, as_json: bool) -> int:
         if "=" not in item:
             raise DomainError(f"--param expects K=V, got {item!r}")
         k, v = item.split("=", 1)
-        params[k] = int(v) if v.lstrip("-").isdigit() else v
+        if not v.removeprefix("-").isdecimal():
+            raise DomainError(f"--param {k} expects an integer, got {v!r}")
+        params[k] = int(v)
     if as_json and args.seed is None:
         raise DomainError("--json verification output requires --seed "
                           "for reproducibility")

@@ -5,19 +5,19 @@ divide each minimal generator by each variable in its support.  A second
 implementation via colon ideals serves as a cross-check oracle.
 """
 
+from itertools import accumulate, repeat
+from typing import Iterator
+
 from .errors import DomainError
-from .monomials import MonomialIdeal, mono_div, supp, variable
+from .monomials import MonomialIdeal, divide_by_variable, supp
 
 
 def gradient(I: MonomialIdeal) -> MonomialIdeal:
     """Ideal generated by u/x_i for u in G(I), i in supp(u)."""
     if I.is_zero or I.is_unit:
         return I
-    derived = []
-    for u in I.gens:
-        for i in supp(u):
-            derived.append(mono_div(u, variable(I.n, i)))
-    return MonomialIdeal(I.n, derived)
+    return MonomialIdeal(I.n, [divide_by_variable(u, i)
+                               for u in I.gens for i in supp(u)])
 
 
 def gradient_via_colon(I: MonomialIdeal) -> MonomialIdeal:
@@ -30,12 +30,18 @@ def gradient_via_colon(I: MonomialIdeal) -> MonomialIdeal:
     return out
 
 
-def iterated_gradient(I: MonomialIdeal, ell: int) -> MonomialIdeal:
+def gradient_chain(I: MonomialIdeal, ell: int) -> Iterator[MonomialIdeal]:
+    """The ell + 1 levels I, grad(I), ..., grad^ell(I), each computed once
+    (gradient() returns the zero and unit ideals unchanged)."""
     if ell < 0:
         raise DomainError("iteration count must be >= 0")
-    out = I
-    for _ in range(ell):
-        if out.is_zero or out.is_unit:
+    return accumulate(repeat(None, ell), lambda J, _: gradient(J), initial=I)
+
+
+def iterated_gradient(I: MonomialIdeal, ell: int) -> MonomialIdeal:
+    """grad^ell(I), the last level of gradient_chain(I, ell), found without
+    walking the chain past the zero or unit ideal."""
+    for J in gradient_chain(I, ell):
+        if J.is_zero or J.is_unit:
             break
-        out = gradient(out)
-    return out
+    return J

@@ -64,19 +64,9 @@ def mono_mul(u: Monomial, v: Monomial) -> Monomial:
     return w
 
 
-def mono_div(u: Monomial, v: Monomial) -> Monomial:
-    """u / v, assuming v divides u."""
-    if not divides(v, u):
-        raise DomainError(f"{v} does not divide {u}")
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def mono_gcd(u: Monomial, v: Monomial) -> Monomial:
-    return tuple(min(a, b) for a, b in zip(u, v))
-
-
-def mono_lcm(u: Monomial, v: Monomial) -> Monomial:
-    return tuple(max(a, b) for a, b in zip(u, v))
+def divide_by_variable(u: Monomial, i: int) -> Monomial:
+    """u / x_i by lowering u[i-1]; requires x_i | u, which is not checked."""
+    return u[:i - 1] + (u[i - 1] - 1,) + u[i:]
 
 
 def is_squarefree_monomial(u: Monomial) -> bool:
@@ -347,10 +337,9 @@ class MonomialIdeal:
 
     def colon_variable(self, i: int) -> "MonomialIdeal":
         """(I : x_i)."""
-        xi = variable(self.n, i)
-        new = [
-            mono_div(u, xi) if u[i - 1] > 0 else u for u in self.gens
-        ]
+        if not 1 <= i <= self.n:
+            raise DomainError(f"variable index {i} out of range 1..{self.n}")
+        new = [divide_by_variable(u, i) if u[i - 1] else u for u in self.gens]
         return MonomialIdeal(self.n, new)
 
     def degree_component(self, j: int, caps: Optional[Caps] = None) -> "MonomialIdeal":

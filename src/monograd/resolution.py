@@ -21,7 +21,7 @@ from .caps import Caps, default_caps
 from .complexes import SimplicialComplex, stanley_reisner_complex
 from .errors import DomainError, ResourceCapError
 from .exact_rank import sparse_rank
-from .gradient import iterated_gradient
+from .gradient import gradient_chain
 from .monomials import (
     MonomialIdeal,
     deg,
@@ -352,16 +352,9 @@ def has_differential_linear_resolution(
                           "equigenerated ideal")
     a = I.alpha
     levels = []
-    holds = True
-    J = I
-    for ell in range(a + 1):
-        if J.is_unit:
-            r = 0
-        else:
-            r = regularity(J, engine=engine, caps=caps)
+    for ell, J in enumerate(gradient_chain(I, a)):
+        r = 0 if J.is_unit else regularity(J, engine=engine, caps=caps)
         ok = (r == a - ell) and (J.is_unit or J.omega == a - ell)
         levels.append((ell, r, ok))
-        holds = holds and ok
-        if ell < a:
-            J = iterated_gradient(J, 1)
-    return DifferentialLinearReport(holds, tuple(levels))
+    return DifferentialLinearReport(all(ok for _, _, ok in levels),
+                                    tuple(levels))

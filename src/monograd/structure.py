@@ -13,7 +13,7 @@ from .errors import DomainError, ResourceCapError
 from .monomials import (
     MonomialIdeal,
     deg,
-    mono_div,
+    divide_by_variable,
     mono_mul,
     supp,
     variable,
@@ -168,12 +168,11 @@ def vertex_split_tree(I: MonomialIdeal, _memo: Optional[Dict] = None):
     else:
         tree = None
         for i in sorted(I.support):
-            xi = variable(I.n, i)
             div = [u for u in I.gens if u[i - 1] > 0]
             rest = [u for u in I.gens if u[i - 1] == 0]
             if not div:
                 continue
-            I1 = MonomialIdeal(I.n, [mono_div(u, xi) for u in div])
+            I1 = MonomialIdeal(I.n, [divide_by_variable(u, i) for u in div])
             I2 = MonomialIdeal(I.n, rest)  # the zero ideal when empty
             # dividing preserves minimality here, so the generator sets of
             # x_i*I1 and I2 partition G(I) by construction
@@ -252,7 +251,7 @@ def is_stable(I: MonomialIdeal) -> bool:
         raise DomainError("stability test needs a proper nonzero ideal")
     for u in I.gens:
         mv = _max_var(u)
-        shifted = mono_div(u, variable(I.n, mv))
+        shifted = divide_by_variable(u, mv)
         for i in range(1, mv):
             if not I.contains(mono_mul(shifted, variable(I.n, i))):
                 return False
@@ -264,7 +263,7 @@ def is_strongly_stable(I: MonomialIdeal) -> bool:
         raise DomainError("stability test needs a proper nonzero ideal")
     for u in I.gens:
         for j in supp(u):
-            shifted = mono_div(u, variable(I.n, j))
+            shifted = divide_by_variable(u, j)
             for i in range(1, j):
                 if not I.contains(mono_mul(shifted, variable(I.n, i))):
                     return False
@@ -293,7 +292,7 @@ def _closure(n: int, seeds, strongly: bool) -> MonomialIdeal:
             continue
         targets = supp(u) if strongly else {_max_var(u)}
         for j in targets:
-            shifted = mono_div(u, variable(n, j))
+            shifted = divide_by_variable(u, j)
             for i in range(1, j):
                 w = mono_mul(shifted, variable(n, i))
                 if w not in pool:

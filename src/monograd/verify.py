@@ -15,7 +15,7 @@ from math import comb
 from typing import Dict, List, Optional, Tuple
 
 from .errors import DomainError
-from .gradient import gradient, iterated_gradient
+from .gradient import gradient, gradient_chain
 from .graphs import (SimpleGraph, complementary_edge_ideal, edge_ideal,
                      family_overlap_run, family_reg_gap,
                      gradient_power_closed_form, is_connected,
@@ -197,6 +197,13 @@ def two_linear_edge_ideals(n_max: int = 5):
 # ---------------------------------------------------------------------------
 # suites
 
+def _samples(params: dict, default: int) -> int:
+    samples = int(params.get("samples", default))
+    if samples < 0:
+        raise DomainError(f"samples must be >= 0, got {samples}")
+    return samples
+
+
 def _suite_thm22(rep: Report, params: dict, rng: random.Random) -> None:
     a_values = [int(params["a"])] if "a" in params else list(range(-4, 5))
     for a in a_values:
@@ -301,7 +308,7 @@ def _suite_thm23(rep: Report, params: dict, rng: random.Random) -> None:
 
 
 def _suite_prop21(rep: Report, params: dict, rng: random.Random) -> None:
-    samples = int(params.get("samples", 50))
+    samples = _samples(params, 50)
     bad_ci = 0
     for _ in range(samples):
         I = random_complete_intersection(rng)
@@ -328,7 +335,7 @@ def _suite_prop21(rep: Report, params: dict, rng: random.Random) -> None:
 
 
 def _suite_cor24(rep: Report, params: dict, rng: random.Random) -> None:
-    samples = int(params.get("samples", 50))
+    samples = _samples(params, 50)
     bad = 0
     first_lq: Dict[int, int] = {}
     for idx in range(samples):
@@ -358,7 +365,7 @@ def _suite_cor24(rep: Report, params: dict, rng: random.Random) -> None:
 
 
 def _suite_thm31(rep: Report, params: dict, rng: random.Random) -> None:
-    samples = int(params.get("samples", DEFAULT_SAMPLES))
+    samples = _samples(params, DEFAULT_SAMPLES)
     bad = 0
     for _ in range(samples):
         I = random_veronese_type(rng)
@@ -371,7 +378,7 @@ def _suite_thm31(rep: Report, params: dict, rng: random.Random) -> None:
 
 
 def _suite_lem32(rep: Report, params: dict, rng: random.Random) -> None:
-    samples = int(params.get("samples", DEFAULT_SAMPLES))
+    samples = _samples(params, DEFAULT_SAMPLES)
     bad = 0
     for _ in range(samples):
         n = rng.randint(2, 4)
@@ -387,7 +394,7 @@ def _suite_lem32(rep: Report, params: dict, rng: random.Random) -> None:
 
 
 def _suite_prop33(rep: Report, params: dict, rng: random.Random) -> None:
-    samples = int(params.get("samples", DEFAULT_SAMPLES))
+    samples = _samples(params, DEFAULT_SAMPLES)
     for strongly, label in ((True, "strongly stable"), (False, "stable")):
         check = is_strongly_stable if strongly else is_stable
         bad = 0
@@ -412,8 +419,7 @@ def _suite_thm43(rep: Report, params: dict, rng: random.Random) -> None:
         for G in connected_graphs(n):
             count += 1
             J = complementary_edge_ideal(G)
-            for ell in range(0, n - 1):
-                H = iterated_gradient(J, ell)
+            for ell, H in enumerate(gradient_chain(J, n - 2)):
                 if not (is_vertex_splittable(H)
                         and regularity(H) == n - 2 - ell):
                     bad += 1
@@ -424,7 +430,7 @@ def _suite_thm43(rep: Report, params: dict, rng: random.Random) -> None:
 
 
 def _suite_thm51(rep: Report, params: dict, rng: random.Random) -> None:
-    samples = int(params.get("samples", 50))
+    samples = _samples(params, 50)
     if "n" in params and "d" in params:
         pairs = [(int(params["n"]), int(params["d"]))]
     else:
@@ -435,8 +441,8 @@ def _suite_thm51(rep: Report, params: dict, rng: random.Random) -> None:
         for _ in range(samples):
             I = random_ideal(n, d, d, mu, squarefree=True, rng=rng)
             result = has_differential_linear_resolution(I)
-            splittable = all(is_vertex_splittable(iterated_gradient(I, ell))
-                             for ell in range(I.alpha + 1))
+            splittable = all(map(is_vertex_splittable,
+                                 gradient_chain(I, I.alpha)))
             if not (result and splittable):
                 bad += 1
                 rep.note("replay ideal: " + ideal_to_json(I))
@@ -494,8 +500,7 @@ def _suite_thm61(rep: Report, params: dict, rng: random.Random) -> None:
         ok = True
         for k in ks:
             Ik = I ** k
-            for ell in range(0, 2 * k + 1):
-                direct = iterated_gradient(Ik, ell)
+            for ell, direct in enumerate(gradient_chain(Ik, 2 * k)):
                 closed = gradient_power_closed_form(dec, n, k, ell)
                 if direct != closed:
                     ok = False

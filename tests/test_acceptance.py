@@ -6,6 +6,7 @@ harness so the ideals exercised here are exactly the ones the harness
 reports on.
 """
 
+import hashlib
 import random
 from itertools import combinations
 
@@ -13,7 +14,7 @@ import pytest
 
 from monograd.caps import Caps
 from monograd.errors import ResourceCapError
-from monograd.gradient import gradient, iterated_gradient
+from monograd.gradient import gradient, gradient_chain
 from monograd.graphs import (SimpleGraph, complementary_edge_ideal,
                              edge_ideal)
 from monograd.ioformats import ideal_to_json
@@ -29,10 +30,43 @@ from monograd.verify import (connected_graphs, random_ideal,
 SEED = 0
 
 
+# sha256 of rep.to_json() for every report checked below, so that any
+# change to a verify report fails here until the table is updated
+_REPORT_SHA256 = {
+    ("cor2.4", ()):
+        "80a8eb6992f3490c73acb18a0d48afb33c99c280a555fc5ad62b960bb0f331e5",
+    ("kk-remark", ()):
+        "9ce26dc9b201538d064c58a5c50e6aa3dafdcc773c22bc3e23007ffb8578a478",
+    ("lem3.2", ()):
+        "7588f46e789a656f7fd7f2b6cf2484cc89d45d8fae1a52eae411c7531ecb6cc8",
+    ("prop2.1", ()):
+        "2c56a6a471dcfe4113f150cf5b63d02dcf3859e063010a3ddcbf91c731621a2a",
+    ("prop3.3", ()):
+        "a6f1660b95afb3c7ce96ff55e0b104c232447198b2b5c453f775fa2f326e8e67",
+    ("thm2.2", ()):
+        "18872c7a8fa81a035980ef7a132587192ac0b51b0208b3eaf3eacdf5c85b733c",
+    ("thm2.3", ()):
+        "da6e793b4850b30a112078589cfba994f1d2a75ef8fbc70af5cb608544a7c913",
+    ("thm3.1", ()):
+        "3d23a6b1b0a1c36059c5a569d7ebcc094f3c3b1e45bfe4114899caba63c1b146",
+    ("thm5.1", ()):
+        "30fbb4c0c7c18c8a32d61621c258c661dcce31130a08b46f6550bb0c649467de",
+    ("thm6.1", ()):
+        "d3bf34961e5bdd1c19d192c622f65122abe88b9269305ca17714a2ce22d8857d",
+    ("thm4.3", (("n", 4),)):
+        "63d32ad246dedc65e05de2c0a51f7e0fdfeb88850e154b6d80f9d069fdf5c538",
+    ("thm4.3", (("n", 5),)):
+        "7627449bc37a62cbb976a95d2d842a3635b95078533bd26ea3c02811ed5b2b7c",
+}
+
+
 def _report_ok(rep):
     failures = [(c.description, c.expected, c.computed)
                 for c in rep.checks if not c.passed]
     assert rep.passed, (failures, rep.engine_notes[:10])
+    key = (rep.theorem_id, tuple(sorted(rep.parameters.items())))
+    digest = hashlib.sha256(rep.to_json().encode()).hexdigest()
+    assert digest == _REPORT_SHA256[key], key
 
 
 def test_criterion_01_reg_gap_sweep():
@@ -134,8 +168,7 @@ def _suite6_pool():
     for n in (4, 5):
         for G in connected_graphs(n):
             J = complementary_edge_ideal(G)
-            for ell in range(0, n - 1):
-                pool.append(iterated_gradient(J, ell))
+            pool.extend(gradient_chain(J, n - 2))
     return pool
 
 

@@ -1,6 +1,11 @@
+import importlib
 import random
 
-from monograd.gradient import gradient, gradient_via_colon, iterated_gradient
+import pytest
+
+from monograd.errors import DomainError
+from monograd.gradient import (gradient, gradient_chain, gradient_via_colon,
+                               iterated_gradient)
 from monograd.monomials import MonomialIdeal
 from monograd.verify import random_ideal
 
@@ -35,6 +40,44 @@ def test_iterated():
     assert iterated_gradient(J, 2) == MonomialIdeal.maximal(3)
     assert iterated_gradient(J, 3).is_unit
     assert iterated_gradient(J, 7).is_unit
+
+
+def test_gradient_chain_matches_colon_oracle():
+    rng = random.Random(20261018)
+    ideals = [MonomialIdeal.zero(3), MonomialIdeal.unit(3),
+              MonomialIdeal.maximal(4)]
+    for squarefree in (True, False):
+        for _ in range(40):
+            n = rng.randint(2, 5)
+            ideals.append(random_ideal(n, 1, 4, rng.randint(1, 3),
+                                       squarefree=squarefree, rng=rng))
+    for J in ideals:
+        # generators have degree <= 4, so ell = 6 runs past the fixed point
+        for ell in (0, 1, 6):
+            chain = list(gradient_chain(J, ell))
+            oracle = [J]
+            for _ in range(ell):
+                oracle.append(gradient_via_colon(oracle[-1]))
+            assert chain == oracle
+            assert iterated_gradient(J, ell) == chain[-1]
+        with pytest.raises(DomainError):
+            gradient_chain(J, -1)
+        with pytest.raises(DomainError):
+            iterated_gradient(J, -1)
+
+
+def test_iterated_gradient_stops_at_fixed_point(monkeypatch):
+    J = I(3, "x1*x2^2", "x3^3")
+    calls = []
+
+    def counted(K):
+        calls.append(K)
+        assert len(calls) <= J.omega + 1, "gradient() past the unit ideal"
+        return gradient(K)
+
+    monkeypatch.setattr(importlib.import_module("monograd.gradient"),
+                        "gradient", counted)
+    assert iterated_gradient(J, 10**9).is_unit
 
 
 def test_colon_oracle_agrees_on_random_ideals():

@@ -1,7 +1,7 @@
 import pytest
 
 from monograd.errors import DomainError
-from monograd.gradient import gradient, iterated_gradient
+from monograd.gradient import gradient, gradient_chain
 from monograd.graphs import (SimpleGraph, complementary_edge_ideal, edge_ideal,
                              family_overlap_run, family_reg_gap,
                              gradient_power_closed_form, is_connected,
@@ -69,9 +69,8 @@ def test_closed_form_matches_direct_gradient():
     dec = quadratic_decomposition(tri)
     for k in (1, 2):
         Ik = tri ** k
-        for ell in range(0, 2 * k + 1):
-            assert gradient_power_closed_form(dec, 3, k, ell) == \
-                iterated_gradient(Ik, ell)
+        for ell, direct in enumerate(gradient_chain(Ik, 2 * k)):
+            assert gradient_power_closed_form(dec, 3, k, ell) == direct
     m = MonomialIdeal.maximal(3)
     assert gradient_power_closed_form(dec, 3, 2, 3) == m
     with pytest.raises(DomainError):

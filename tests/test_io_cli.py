@@ -124,6 +124,25 @@ def test_cli_verify(capsys):
     assert run_cli(["verify", "kk-remark", "--json"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["thm4.3", "--param", "n=abc"],
+    ["thm2.2", "--param", "a=1.5"],
+    ["thm5.1", "--param", "samples=x"],
+    ["prop2.1", "--param", "samples=-3"],
+    ["cor2.4", "--param", "samples=-1"],
+    ["thm3.1", "--param", "samples=-1"],
+    ["lem3.2", "--param", "samples=-1"],
+    ["prop3.3", "--param", "samples=-1"],
+    ["thm5.1", "--param", "samples=-1"],
+])
+def test_cli_verify_bad_param(argv, capsys):
+    assert run_cli(["verify", *argv]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert captured.out == ""
+
+
 def test_cli_malformed_input(tmp_path, capsys):
     p = tmp_path / "broken.json"
     p.write_text("{not json")

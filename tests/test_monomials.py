@@ -7,8 +7,8 @@ import pytest
 from monograd.errors import DomainError, ExponentOverflowError, ResourceCapError
 from monograd.caps import Caps
 from monograd.monomials import (EXPONENT_BOUND, MonomialIdeal, canonical_key,
-                                deg, divides, is_complete_intersection,
-                                minimalize, mono_div, mono_gcd, mono_lcm,
+                                deg, divide_by_variable, divides,
+                                is_complete_intersection, minimalize,
                                 mono_mul, monomial_str, monomials_of_degree,
                                 squarefree_monomials_of_degree, supp,
                                 veronese_type)
@@ -27,9 +27,8 @@ def test_monomial_helpers():
     assert divides((1, 0, 1), (2, 0, 1))
     assert not divides((2, 0, 1), (1, 0, 1))
     assert mono_mul((1, 0), (0, 2)) == (1, 2)
-    assert mono_div((2, 1), (1, 0)) == (1, 1)
-    assert mono_gcd((2, 1), (1, 3)) == (1, 1)
-    assert mono_lcm((2, 1), (1, 3)) == (2, 3)
+    assert divide_by_variable((2, 1), 1) == (1, 1)
+    assert divide_by_variable((2, 0, 1), 3) == (2, 0, 0)
 
 
 def test_minimalization_and_canonical_order():
@@ -76,6 +75,10 @@ def test_colon_by_variable():
     J = I(3, "x1^2*x2", "x2*x3")
     assert J.colon_variable(2) == I(3, "x1^2", "x3")
     assert J.colon_variable(1) == I(3, "x1*x2", "x2*x3")
+    assert J.colon_variable(3) == I(3, "x1^2*x2", "x2")
+    for i in (0, 4, -1):
+        with pytest.raises(DomainError):
+            J.colon_variable(i)
 
 
 def test_degree_component():
