@@ -16,8 +16,8 @@ def gradient(I: MonomialIdeal) -> MonomialIdeal:
     """Ideal generated by u/x_i for u in G(I), i in supp(u)."""
     if I.is_zero or I.is_unit:
         return I
-    return MonomialIdeal(I.n, [divide_by_variable(u, i)
-                               for u in I.gens for i in supp(u)])
+    return MonomialIdeal._trusted(I.n, [divide_by_variable(u, i)
+                                        for u in I.gens for i in supp(u)])
 
 
 def gradient_via_colon(I: MonomialIdeal) -> MonomialIdeal:

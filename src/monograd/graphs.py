@@ -35,10 +35,6 @@ class SimpleGraph:
     def neighbors(self, v: int) -> set:
         return {next(iter(e - {v})) for e in self.edges if v in e}
 
-    def delete_vertex(self, v: int) -> "SimpleGraph":
-        """Remove vertex v, keeping the remaining labels (n unchanged)."""
-        return SimpleGraph(self.n, [e for e in self.edges if v not in e])
-
     def edge_pairs(self) -> List[Tuple[int, int]]:
         return sorted(tuple(sorted(e)) for e in self.edges)
 

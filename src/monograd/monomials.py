@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import warnings
 from itertools import combinations, compress, count, repeat
-from operator import le, neg
+from operator import add, le, neg
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .caps import Caps, default_caps
@@ -50,7 +50,7 @@ def unit_monomial(n: int) -> Monomial:
 def variable(n: int, i: int) -> Monomial:
     if not 1 <= i <= n:
         raise DomainError(f"variable index {i} out of range 1..{n}")
-    return tuple(1 if k == i - 1 else 0 for k in range(n))
+    return (0,) * (i - 1) + (1,) + (0,) * (n - i)
 
 
 def divides(u: Monomial, v: Monomial) -> bool:
@@ -58,8 +58,8 @@ def divides(u: Monomial, v: Monomial) -> bool:
 
 
 def mono_mul(u: Monomial, v: Monomial) -> Monomial:
-    w = tuple(a + b for a, b in zip(u, v))
-    if any(e > EXPONENT_BOUND for e in w):
+    w = tuple(map(add, u, v))
+    if max(w, default=0) > EXPONENT_BOUND:
         raise ExponentOverflowError(f"exponent exceeds bound {EXPONENT_BOUND}")
     return w
 
@@ -165,7 +165,9 @@ def _minimal_elements(gens: Sequence[Monomial]):
     """
     kept, degs, masks = [], [], []
     lower = []  # (v, mask) for kept v with deg(v) < the current degree
-    for u in sorted(set(gens), key=canonical_key):
+    ordered = sorted(set(gens), reverse=True)
+    ordered.sort(key=sum)  # stable, so this is the canonical_key order
+    for u in ordered:
         d = sum(u)
         k = len(lower)
         while k < len(kept) and degs[k] < d:
@@ -196,12 +198,28 @@ class MonomialIdeal:
         if n < 0:
             raise DomainError("ambient variable count must be >= 0")
         checked = [_check_monomial(u, n) for u in gens]
-        kept, degs, masks = _minimal_elements(checked)
+        self._fill(n, *_minimal_elements(checked))
+
+    def _fill(self, n, kept, degs, masks):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "gens", kept)
         # the divisibility screen of each generator, for contains()
         object.__setattr__(self, "_degs", degs)
         object.__setattr__(self, "_masks", masks)
+
+    @classmethod
+    def _trusted(cls, n: int, gens, minimal: bool = False) -> "MonomialIdeal":
+        """The ideal on monomials already checked for n (tuples of in-range
+        exponents), built without the constructor's checks.  With minimal
+        set, gens must be minimal and canonically sorted, and are kept."""
+        I = object.__new__(cls)
+        if minimal:
+            gens = tuple(gens)
+            I._fill(n, gens, tuple(map(sum, gens)),
+                    tuple(map(_support_mask, gens)))
+        else:
+            I._fill(n, *_minimal_elements(gens))
+        return I
 
     def __setattr__(self, *args):
         raise AttributeError("MonomialIdeal is immutable")
@@ -218,7 +236,11 @@ class MonomialIdeal:
     @classmethod
     def maximal(cls, n: int) -> "MonomialIdeal":
         """The graded maximal ideal (x_1, ..., x_n)."""
-        return cls(n, (variable(n, i) for i in range(1, n + 1)))
+        if n < 0:
+            raise DomainError("ambient variable count must be >= 0")
+        # the variables are minimal and already in canonical order
+        return cls._trusted(n, [variable(n, i) for i in range(1, n + 1)],
+                            minimal=True)
 
     @classmethod
     def from_strings(cls, n: int, gens: Iterable[str]) -> "MonomialIdeal":
@@ -314,7 +336,7 @@ class MonomialIdeal:
     # -- arithmetic ------------------------------------------------------
     def __add__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         self._check_same_ambient(other)
-        return MonomialIdeal(self.n, self.gens + other.gens)
+        return MonomialIdeal._trusted(self.n, self.gens + other.gens)
 
     def __mul__(self, other) -> "MonomialIdeal":
         if isinstance(other, tuple):
@@ -323,15 +345,17 @@ class MonomialIdeal:
         if self.is_zero or other.is_zero:
             return MonomialIdeal.zero(self.n)
         prods = [mono_mul(u, v) for u in self.gens for v in other.gens]
-        return MonomialIdeal(self.n, prods)
+        return MonomialIdeal._trusted(self.n, prods)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "MonomialIdeal":
         if k < 0:
             raise DomainError("ideal power requires k >= 0")
-        result = MonomialIdeal.unit(self.n)
-        for _ in range(k):
+        if k == 0:
+            return MonomialIdeal.unit(self.n)
+        result = self
+        for _ in range(k - 1):
             result = result * self
         return result
 
@@ -340,7 +364,7 @@ class MonomialIdeal:
         if not 1 <= i <= self.n:
             raise DomainError(f"variable index {i} out of range 1..{self.n}")
         new = [divide_by_variable(u, i) if u[i - 1] else u for u in self.gens]
-        return MonomialIdeal(self.n, new)
+        return MonomialIdeal._trusted(self.n, new)
 
     def degree_component(self, j: int, caps: Optional[Caps] = None) -> "MonomialIdeal":
         """The ideal generated by every degree-j monomial lying in I."""
@@ -365,7 +389,9 @@ class MonomialIdeal:
         used = sorted(self.support)
         idx = [i - 1 for i in used]
         gens = [tuple(u[i] for i in idx) for u in self.gens]
-        return MonomialIdeal(len(used), gens), used
+        # dropping variables no generator uses keeps divisibility, degrees
+        # and the lexicographic order, so gens stays minimal and canonical
+        return MonomialIdeal._trusted(len(used), gens, minimal=True), used
 
 
 # ---------------------------------------------------------------------------

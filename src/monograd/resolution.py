@@ -275,16 +275,16 @@ def betti_table(I: MonomialIdeal, engine: str = "auto",
     raise DomainError(f"unknown Betti engine: {engine}")
 
 
-_LQ_ENGINE_BUDGET = 200_000
-
-
 def regularity(I: MonomialIdeal, engine: str = "auto",
                caps: Optional[Caps] = None) -> int:
     """Castelnuovo-Mumford regularity in the ideal convention.
 
-    Engine "auto" first looks for a linear-quotients order within a node
-    budget (a witness gives reg = omega), then uses Hochster on the
-    (polarized) Stanley-Reisner complex, then the Koszul oracle.
+    Engine "auto" first looks for a linear-quotients order within a budget
+    of mu * n search nodes (a witness gives reg = omega), then uses
+    Hochster on the (polarized) Stanley-Reisner complex, then the Koszul
+    oracle.  Deciding linear quotients is NP-hard; a witness usually turns
+    up within about mu nodes, and when the budget runs out the exact
+    engines answer instead.
     """
     if I.is_zero:
         raise DomainError("regularity undefined for the zero ideal")
@@ -304,7 +304,7 @@ def regularity(I: MonomialIdeal, engine: str = "auto",
 
     if I.mu <= caps.lq_generators:
         order = linear_quotients_order(I, caps=caps,
-                                       node_budget=_LQ_ENGINE_BUDGET)
+                                       node_budget=I.mu * I.n)
         if order is not None and order is not UNDECIDED:
             return I.omega
     try:

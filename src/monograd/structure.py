@@ -6,6 +6,8 @@ and (strong) stability.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import or_
 from typing import Dict, List, Optional, Tuple, Union
 
 from .caps import Caps, default_caps
@@ -46,20 +48,32 @@ def _colon_masks(gens):
     bitmask over the generators u_j.
 
     cover[i][k] has bit j set when x_k divides u_j : u_i, i.e.
-    u_j[k] > u_i[k]; step[i][k] has bit j set when u_j : u_i is exactly x_k.
+    u_j[k] > u_i[k]; step[i][k] has bit j set when u_j : u_i is exactly x_k,
+    i.e. u_j[k] = u_i[k] + 1 and no other variable covers u_j.  Both come
+    from per-variable tables, keyed by the exponents that occur:
+    exact[k][e] holds the generators with exponent e at x_k, above[k][e]
+    those with a larger one.
     """
-    n = len(gens[0])
+    exact, above = [], []
+    for col in zip(*gens):
+        ex = {}
+        for j, e in enumerate(col):
+            ex[e] = ex.get(e, 0) | 1 << j
+        ab, acc = {}, 0
+        for e in sorted(ex, reverse=True):
+            ab[e] = acc
+            acc |= ex[e]
+        exact.append(ex)
+        above.append(ab)
     cover, step = [], []
     for u in gens:
-        cov, stp = [0] * n, [0] * n
-        for j, v in enumerate(gens):
-            ks = [k for k in range(n) if v[k] > u[k]]
-            for k in ks:
-                cov[k] |= 1 << j
-            if len(ks) == 1 and v[ks[0]] - u[ks[0]] == 1:
-                stp[ks[0]] |= 1 << j
+        cov = [ab[e] for ab, e in zip(above, u)]
+        # p | s: the generators covered by a variable other than x_k
+        pre = accumulate(cov, or_, initial=0)
+        suf = list(accumulate(reversed(cov), or_, initial=0))[-2::-1]
         cover.append(cov)
-        step.append(stp)
+        step.append([ex.get(e + 1, 0) & ~(p | s)
+                     for ex, e, p, s in zip(exact, u, pre, suf)])
     return cover, step
 
 
@@ -172,10 +186,11 @@ def vertex_split_tree(I: MonomialIdeal, _memo: Optional[Dict] = None):
             rest = [u for u in I.gens if u[i - 1] == 0]
             if not div:
                 continue
-            I1 = MonomialIdeal(I.n, [divide_by_variable(u, i) for u in div])
-            I2 = MonomialIdeal(I.n, rest)  # the zero ideal when empty
-            # dividing preserves minimality here, so the generator sets of
-            # x_i*I1 and I2 partition G(I) by construction
+            # dividing by x_i keeps div minimal and canonically sorted, so
+            # the generator sets of x_i*I1 and I2 partition G(I)
+            I1 = MonomialIdeal._trusted(
+                I.n, [divide_by_variable(u, i) for u in div], minimal=True)
+            I2 = MonomialIdeal._trusted(I.n, rest, minimal=True)
             if not I1.contains_ideal(I2):
                 continue
             t1 = vertex_split_tree(I1, memo)

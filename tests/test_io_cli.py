@@ -134,6 +134,7 @@ def test_cli_verify(capsys):
     ["lem3.2", "--param", "samples=-1"],
     ["prop3.3", "--param", "samples=-1"],
     ["thm5.1", "--param", "samples=-1"],
+    ["thm5.1", "--param", "n=2", "--param", "d=2"],
 ])
 def test_cli_verify_bad_param(argv, capsys):
     assert run_cli(["verify", *argv]) == 2

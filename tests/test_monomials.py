@@ -6,6 +6,7 @@ import pytest
 
 from monograd.errors import DomainError, ExponentOverflowError, ResourceCapError
 from monograd.caps import Caps
+from monograd.gradient import gradient
 from monograd.monomials import (EXPONENT_BOUND, MonomialIdeal, canonical_key,
                                 deg, divide_by_variable, divides,
                                 is_complete_intersection, minimalize,
@@ -282,3 +283,59 @@ def test_screened_minimalization_and_contains_match_oracles():
                 (n, raw, u)
             checked += 1
     assert checked > 2500
+
+
+# ---------------------------------------------------------------------------
+# ideals built from already checked monomials skip the constructor's checks
+
+def _assert_rebuilds(J, queries):
+    """J equals its generators passed through the public constructor."""
+    K = MonomialIdeal(J.n, J.gens)
+    assert (J.n, J.gens, J._degs, J._masks) == (K.n, K.gens, K._degs, K._masks)
+    for u in queries:
+        assert J.contains(u) == K.contains(u), (J, u)
+
+
+def test_trusted_arithmetic_matches_public_constructor():
+    checked = 0
+    for n, raw, queries in _oracle_cases():
+        A = MonomialIdeal(n, raw)
+        B = MonomialIdeal(n, raw[1::3])
+        results = [gradient(A), A + B, A ** 0, A ** 1, A.compress()[0],
+                   MonomialIdeal.maximal(n)]
+        # products of the cases with exponents near the bound overflow
+        if max((e for u in A.gens + B.gens for e in u), default=0) < 2**30:
+            results += [A * B, A ** 2]
+        results += [A.colon_variable(i) for i in range(1, min(n, 4) + 1)]
+        for i in sorted(A.support)[:4]:
+            # the two parts of a vertex splitting at x_i
+            div = [divide_by_variable(u, i) for u in A.gens if u[i - 1]]
+            rest = [u for u in A.gens if not u[i - 1]]
+            results += [MonomialIdeal._trusted(n, div, minimal=True),
+                        MonomialIdeal._trusted(n, rest, minimal=True)]
+        for J in results:
+            _assert_rebuilds(J, queries[:15] if J.n == n else [])
+            checked += 1
+    assert checked > 600
+
+
+def test_trusted_powers_and_overflow():
+    A = I(3, "x1^2", "x1*x2*x3")
+    assert A ** 0 == MonomialIdeal.unit(3) and (A ** 0).is_unit
+    assert A ** 1 == A
+    assert A ** 3 == MonomialIdeal(3, [tuple(map(sum, zip(u, v, w)))
+                                       for u in A.gens for v in A.gens
+                                       for w in A.gens])
+    Z = MonomialIdeal.zero(3)
+    assert (Z ** 0).is_unit
+    for k in (1, 2, 5):
+        assert (Z ** k).is_zero and (Z ** k).n == 3
+    assert MonomialIdeal.unit(2) ** 4 == MonomialIdeal.unit(2)
+    with pytest.raises(DomainError):
+        MonomialIdeal.maximal(-1)
+    big = MonomialIdeal(2, [(EXPONENT_BOUND - 1, 0), (0, 1)])
+    with pytest.raises(ExponentOverflowError):
+        big * I(2, "x1^2")
+    with pytest.raises(ExponentOverflowError):
+        big ** 2
+    assert (big * I(2, "x1")).gens == ((1, 1), (EXPONENT_BOUND, 0))

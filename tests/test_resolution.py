@@ -7,10 +7,12 @@ from monograd.errors import DomainError, ResourceCapError
 from monograd.gradient import gradient, iterated_gradient
 from monograd.graphs import family_overlap_run, family_reg_gap
 from monograd.monomials import MonomialIdeal
+import monograd.resolution as resolution
 from monograd.resolution import (betti_table,
                                  has_differential_linear_resolution,
                                  has_linear_resolution, hochster_betti,
                                  koszul_betti, polarize, regularity)
+from monograd.structure import UNDECIDED, linear_quotients_order
 from monograd.verify import cycle_certificate, random_ideal
 
 
@@ -123,3 +125,69 @@ def test_regularity_monotone_under_variable_colon():
             Q = J.colon_variable(i)
             if Q.is_proper and not Q.is_zero:
                 assert regularity(Q) <= r, (J, i)
+
+
+# ---------------------------------------------------------------------------
+# the auto engine's linear-quotients pre-search
+
+@pytest.fixture
+def lq_spy(monkeypatch):
+    """Records (ideal, node_budget, result) of every linear-quotients search
+    that regularity() starts."""
+    calls = []
+
+    def spy(I, caps=None, node_budget=None):
+        result = linear_quotients_order(I, caps=caps, node_budget=node_budget)
+        calls.append((I, node_budget, result))
+        return result
+
+    monkeypatch.setattr(resolution, "linear_quotients_order", spy)
+    return calls
+
+
+def test_overlap_gradient_regularity_auto_matches_hochster(lq_spy):
+    for d in range(3, 7):
+        gI = gradient(family_overlap_run(d))
+        assert regularity(gI) == 2 * d - 3
+        assert regularity(gI, engine="hochster") == 2 * d - 3
+    # no order exists, and the search gives up within its budget
+    assert [r for _, _, r in lq_spy] == [UNDECIDED] * 4
+
+
+def test_auto_lq_budget_is_derived_from_the_ideal(lq_spy):
+    ideals = [gradient(family_overlap_run(4)),
+              I(3, "x1*x2", "x1*x3", "x2*x3"),
+              I(4, "x1*x2", "x3*x4"),
+              MonomialIdeal.maximal(5) ** 2]
+    for J in ideals:
+        regularity(J)
+    assert [(J, b) for J, b, _ in lq_spy] == [(J, J.mu * J.n) for J in ideals]
+
+
+def test_auto_regularity_agrees_with_exact_engines(lq_spy):
+    rng = random.Random(6061)
+    koszul_checked = 0
+    for t in range(70):
+        if t % 2:
+            n = rng.randint(4, 7)
+            J = random_ideal(n, 2, 3, rng.randint(2, 8), squarefree=True,
+                             rng=rng)
+        else:
+            n = rng.randint(2, 5)
+            J = random_ideal(n, 1, 3, rng.randint(1, 6), rng=rng)
+        if J.is_unit:
+            continue
+        r = regularity(J)
+        assert r == regularity(J, engine="hochster"), J
+        if n <= 5:
+            assert r == regularity(J, engine="koszul"), J
+            koszul_checked += 1
+    # windows of length d in 2d variables and their gradients: no order
+    # exists, and the budget runs out before the search can tell
+    for d in (3, 4, 5):
+        for J in (family_overlap_run(d), gradient(family_overlap_run(d))):
+            assert regularity(J) == regularity(J, engine="hochster"), J
+    results = [r for _, _, r in lq_spy]
+    assert koszul_checked > 20
+    assert results.count(UNDECIDED) >= 3 and results.count(None) > 0
+    assert sum(r not in (None, UNDECIDED) for r in results) > 20

@@ -7,7 +7,7 @@ from monograd.caps import Caps
 from monograd.errors import DomainError
 from monograd.gradient import gradient
 from monograd.monomials import MonomialIdeal, veronese_type
-from monograd.structure import (UNDECIDED, has_linear_quotients,
+from monograd.structure import (UNDECIDED, _colon_masks, has_linear_quotients,
                                 is_componentwise_polymatroidal,
                                 is_polymatroidal, is_stable,
                                 is_strongly_stable, is_vertex_splittable,
@@ -140,3 +140,68 @@ def test_splittable_implies_linear_quotients():
             checked += 1
             assert linear_quotients_order(J) is not None, J
     assert checked > 10
+
+
+# ---------------------------------------------------------------------------
+# colon tables of the linear-quotients search
+
+def _colon_masks_oracle(gens):
+    """The colon tables by direct comparison of every pair of generators."""
+    n = len(gens[0])
+    cover, step = [], []
+    for u in gens:
+        cov, stp = [0] * n, [0] * n
+        for j, v in enumerate(gens):
+            ks = [k for k in range(n) if v[k] > u[k]]
+            for k in ks:
+                cov[k] |= 1 << j
+            if len(ks) == 1 and v[ks[0]] - u[ks[0]] == 1:
+                stp[ks[0]] |= 1 << j
+        cover.append(cov)
+        step.append(stp)
+    return cover, step
+
+
+def _colon_cases():
+    rng = random.Random(4242)
+    cases = [((0,),), ((3,),), ((1, 0, 2),),  # n = 1 and mu = 1
+             ((2, 0), (1, 1), (0, 2)),
+             ((3, 3, 0), (3, 0, 3), (0, 3, 3), (4, 1, 1)),
+             ((2**31 - 1, 0), (2**31 - 2, 1), (0, 2**31 - 1))]
+    for t in range(150):
+        n = rng.randint(1, 7)
+        top = (1, 2, 3, 5)[t % 4]  # squarefree, then exponents up to 5
+        gens = {tuple(rng.randint(0, top) for _ in range(n))
+                for _ in range(rng.randint(1, 14))}
+        cases.append(tuple(sorted(gens)))
+    return cases
+
+
+def test_colon_masks_match_pairwise_oracle():
+    for gens in _colon_cases():
+        assert _colon_masks(gens) == _colon_masks_oracle(gens), gens
+    # ideals the search actually sees: minimal generating sets
+    rng = random.Random(17)
+    for t in range(60):
+        n = rng.randint(3, 6)
+        J = random_ideal(n, 1, 4, rng.randint(1, 7), squarefree=t % 2 == 0,
+                         rng=rng)
+        assert _colon_masks(J.gens) == _colon_masks_oracle(J.gens), J
+
+
+def test_linear_quotients_witnesses_pass_colon_check():
+    rng = random.Random(808)
+    found = 0
+    for t in range(150):
+        n = rng.randint(3, 6)
+        J = random_ideal(n, 1, 4, rng.randint(1, 7), squarefree=t % 3 == 0,
+                         rng=rng)
+        order = linear_quotients_order(J)
+        if order is None:
+            continue
+        found += 1
+        gens = list(order.order)
+        assert sorted(gens) == sorted(J.gens)
+        for k in range(1, len(gens)):
+            assert _is_variable_colon(gens[:k], gens[k], n), (J, gens)
+    assert found > 40
