@@ -236,11 +236,7 @@ class MonomialIdeal:
     @classmethod
     def maximal(cls, n: int) -> "MonomialIdeal":
         """The graded maximal ideal (x_1, ..., x_n)."""
-        if n < 0:
-            raise DomainError("ambient variable count must be >= 0")
-        # the variables are minimal and already in canonical order
-        return cls._trusted(n, [variable(n, i) for i in range(1, n + 1)],
-                            minimal=True)
+        return cls(n, (variable(n, i) for i in range(1, n + 1)))
 
     @classmethod
     def from_strings(cls, n: int, gens: Iterable[str]) -> "MonomialIdeal":

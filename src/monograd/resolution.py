@@ -335,7 +335,8 @@ def has_linear_resolution(I: MonomialIdeal, engine: str = "auto",
 @dataclass(frozen=True)
 class DifferentialLinearReport:
     holds: bool
-    levels: Tuple[Tuple[int, int, bool], ...]  # (ell, regularity, ok)
+    # (ell, regularity, ok, grad^ell(I))
+    levels: Tuple[Tuple[int, int, bool, MonomialIdeal], ...]
 
     def __bool__(self):
         return self.holds
@@ -355,6 +356,6 @@ def has_differential_linear_resolution(
     for ell, J in enumerate(gradient_chain(I, a)):
         r = 0 if J.is_unit else regularity(J, engine=engine, caps=caps)
         ok = (r == a - ell) and (J.is_unit or J.omega == a - ell)
-        levels.append((ell, r, ok))
-    return DifferentialLinearReport(all(ok for _, _, ok in levels),
+        levels.append((ell, r, ok, J))
+    return DifferentialLinearReport(all(ok for _, _, ok, _ in levels),
                                     tuple(levels))

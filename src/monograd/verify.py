@@ -28,7 +28,8 @@ from .monomials import (MonomialIdeal, is_complete_intersection,
                         monomials_of_degree, squarefree_monomials_of_degree,
                         veronese_type)
 from .complexes import stanley_reisner_complex
-from .resolution import hochster_betti, regularity
+from .resolution import (has_differential_linear_resolution, hochster_betti,
+                         regularity)
 from .structure import (is_polymatroidal, is_stable, is_strongly_stable,
                         is_vertex_splittable, linear_quotients_order,
                         stable_closure, strongly_stable_closure)
@@ -439,13 +440,10 @@ def _suite_thm51(rep: Report, params: dict, rng: random.Random) -> None:
         bad = 0
         for _ in range(samples):
             I = random_ideal(n, d, d, mu, squarefree=True, rng=rng)
-            # level ell is generated in degree d - ell (the unit ideal at
-            # ell = d): it has a linear resolution iff reg = d - ell
-            levels = list(gradient_chain(I, d))
-            linear = all(J.is_unit or regularity(J) == d - ell
-                         for ell, J in enumerate(levels))
-            splittable = all(map(is_vertex_splittable, levels))
-            if not (linear and splittable):
+            result = has_differential_linear_resolution(I)
+            splittable = all(is_vertex_splittable(J)
+                             for *_, J in result.levels)
+            if not (result and splittable):
                 bad += 1
                 rep.note("replay ideal: " + ideal_to_json(I))
         rep.add(f"(n,d)=({n},{d}): {samples} ideals with mu={mu}: "

@@ -182,12 +182,13 @@ def test_auto_regularity_agrees_with_exact_engines(lq_spy):
         if n <= 5:
             assert r == regularity(J, engine="koszul"), J
             koszul_checked += 1
-    # windows of length d in 2d variables and their gradients: no order
-    # exists, and the budget runs out before the search can tell
+    # windows of length d in 2d variables have an order; their gradients,
+    # which have none, are test_overlap_gradient_regularity_auto_matches_hochster's
     for d in (3, 4, 5):
-        for J in (family_overlap_run(d), gradient(family_overlap_run(d))):
-            assert regularity(J) == regularity(J, engine="hochster"), J
+        J = family_overlap_run(d)
+        assert regularity(J) == regularity(J, engine="hochster"), J
     results = [r for _, _, r in lq_spy]
     assert koszul_checked > 20
-    assert results.count(UNDECIDED) >= 3 and results.count(None) > 0
+    # some random ideals exhaust the budget, others have no order at all
+    assert results.count(UNDECIDED) > 0 and results.count(None) > 0
     assert sum(r not in (None, UNDECIDED) for r in results) > 20
