@@ -5,7 +5,9 @@ Format: comma-separated key=value pairs, e.g.
     MONOGRAD_CAPS="polarized-vars=20,component-enum=100000"
 
 Recognized keys: polarized-vars, component-enum, lq-generators, colex-enum,
-nonface-unions.
+nonface-unions.  polarized-vars bounds only polarize(); nonface-unions
+bounds the lcm lattice that the Betti and regularity walk visits, its
+bottom element included.
 """
 
 import os

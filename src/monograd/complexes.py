@@ -163,15 +163,6 @@ class SimplicialComplex:
         return (_boundary_columns(faces, s + 1), len(faces.get(s, ())),
                 len(faces.get(s + 1, ())))
 
-    def reduced_homology_dim(self, s: int, within: Optional[int] = None) -> int:
-        """dim of the s-th reduced homology over the rationals."""
-        faces = self.faces_by_cardinality(within)
-        dim_cs = len(faces.get(s + 1, ()))
-        if dim_cs == 0:
-            return 0
-        return (dim_cs - _boundary_rank(faces, s + 1)
-                - _boundary_rank(faces, s + 2))
-
     def homology_profile(self, within: Optional[int] = None) -> Dict[int, int]:
         """All nonzero reduced homology dimensions, by dimension s."""
         faces = self.faces_by_cardinality(within)
@@ -188,10 +179,10 @@ class SimplicialComplex:
         """Largest s with nonzero reduced homology, scanning top-down.
 
         Dimensions <= stop_below are not examined (returns None if nothing
-        above them is nonzero)."""
+        above them is nonzero); any stop_below under -1 examines them all."""
         faces = self.faces_by_cardinality(within)
         rank_above = 0
-        for c in range(len(faces) - 1, stop_below + 1, -1):
+        for c in range(len(faces) - 1, max(stop_below, -2) + 1, -1):
             rank = _boundary_rank(faces, c)
             if len(faces[c]) - rank - rank_above:
                 return c - 1

@@ -283,10 +283,10 @@ class MonomialIdeal:
 
     @property
     def support(self) -> frozenset:
-        s = frozenset()
-        for u in self.gens:
-            s |= supp(u)
-        return s
+        m = 0
+        for gm in self._masks:
+            m |= gm
+        return frozenset(k + 1 for k in range(m.bit_length()) if m >> k & 1)
 
     def stats(self) -> GeneratorStats:
         if self.is_zero:

@@ -1,20 +1,20 @@
 """Betti numbers and Castelnuovo-Mumford regularity.
 
-Hochster's formula drives the squarefree path; non-squarefree ideals go
-through polarization, which preserves the graded Betti table.  An
-independent Koszul-strand oracle computes the same Tor dimensions by exact
-rank computation and is used as a cross-check everywhere both apply.
-
-Only vertex subsets W in which every vertex lies in some minimal nonface
-contained in W can contribute to Hochster's sum (otherwise the restricted
-complex is a cone, hence acyclic), so the sum runs over unions of minimal
-nonfaces rather than all 2^n subsets.
+One walk over the lcm lattice of the minimal generators gives the graded
+Betti numbers, since only lattice degrees b carry any (Gasharov-Peeva-
+Welker, 1999): beta_{i,b}(S/I) = dim H~_{i-2}(K^b) for the upper Koszul
+complex K^b = {F subseteq supp b : x^(b-F) in I} (Miller-Sturmfels, Thm
+1.34).  By Alexander duality this is dim H~_{|supp b|-i-1} of the dual of
+K^b on supp b; for squarefree I that dual is Delta_W, W = b, and the
+formula is Hochster's.  An independent Koszul-strand oracle computes the
+same Tor dimensions, and polarization is a public utility and oracle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import le, or_
 from typing import Dict, List, Optional, Tuple
 
 from .caps import Caps, default_caps
@@ -22,14 +22,7 @@ from .complexes import SimplicialComplex, stanley_reisner_complex
 from .errors import DomainError, ResourceCapError
 from .exact_rank import sparse_rank
 from .gradient import gradient_chain
-from .monomials import (
-    MonomialIdeal,
-    deg,
-    mono_mul,
-    monomials_of_degree,
-    supp,
-    variable,
-)
+from .monomials import MonomialIdeal, mono_mul, monomials_of_degree, variable
 from .structure import UNDECIDED, linear_quotients_order
 
 
@@ -63,72 +56,84 @@ class BettiTable:
 
 
 # ---------------------------------------------------------------------------
-# Hochster's formula
+# the lcm lattice
 
-def _nonface_unions(delta: SimplicialComplex, caps: Caps) -> List[int]:
-    """All unions of minimal nonfaces (bitmasks), the empty union included."""
-    unions = {0}
-    for m in delta.nonface_masks:
-        unions |= {u | m for u in unions}
-        if len(unions) > caps.nonface_unions:
+def _join_closure(gens, join, bottom, caps: Caps) -> set:
+    """The closure of gens under join, the bottom (empty join) included;
+    its size is bounded by the nonface-unions cap."""
+    closure = {bottom}
+    for g in gens:
+        closure |= {join(u, g) for u in closure}
+        if len(closure) > caps.nonface_unions:
             raise ResourceCapError("nonface-unions", caps.nonface_unions,
-                                   len(unions))
-    return sorted(unions)
+                                   len(closure))
+    return closure
+
+
+def _lcm_lattice(I: MonomialIdeal, caps: Caps):
+    """(w, j, D) for each element b of the lcm lattice: w is the mask of
+    supp b, j = deg b, and D restricted to w is the Alexander dual of K^b.
+
+    x^(b-F) lies in I iff some generator g dividing x^b has g_k < b_k for
+    every k in F, so the minimal nonfaces of the dual are the sets
+    {k : g_k = b_k > 0} of those g: the supports of the g in W when I is
+    squarefree, which is Delta_W.
+    """
+    if I.is_squarefree:
+        delta = stanley_reisner_complex(I)
+        for w in _join_closure(delta.nonface_masks, or_, 0, caps):
+            yield w, w.bit_count(), delta
+        return
+    for b in _join_closure(I.gens, lambda u, v: tuple(map(max, u, v)),
+                           (0,) * I.n, caps):
+        tight = ([k + 1 for k, (e, c) in enumerate(zip(g, b)) if e == c > 0]
+                 for g in I.gens if all(map(le, g, b)))
+        yield (sum(1 << k for k, c in enumerate(b) if c), sum(b),
+               SimplicialComplex(I.n, tight))
+
+
+def _lattice_betti(I: MonomialIdeal, caps: Caps,
+                   degree: Optional[int] = None) -> Dict[Tuple[int, int], int]:
+    """Quotient-convention Betti numbers of S/I, (0, 0) included, from the
+    lattice elements of the given degree only if one is given."""
+    entries: Dict[Tuple[int, int], int] = {}
+    for w, j, dual in _lcm_lattice(I, caps):
+        if degree is None or j == degree:
+            for s, h in dual.homology_profile(within=w).items():
+                key = (w.bit_count() - s - 1, j)
+                entries[key] = entries.get(key, 0) + h
+    return entries
 
 
 def hochster_betti(I: MonomialIdeal, i: int, j: int) -> int:
-    """Quotient-indexed beta_{i,j}(S/I) for squarefree proper I."""
+    """Quotient-indexed beta_{i,j}(S/I) for proper I, from the lcm-lattice
+    elements of degree j."""
     if i < 0 or j < 0:
         raise DomainError("Betti indices must be nonnegative")
-    if not I.is_squarefree:
-        raise DomainError("hochster_betti requires a squarefree ideal")
     if I.is_unit:
         raise DomainError("hochster_betti requires a proper ideal")
-    if j > I.n:
-        return 0
-    delta = stanley_reisner_complex(I)
-    s = j - i - 1
-    total = 0
-    for w in _nonface_unions(delta, default_caps()):
-        if bin(w).count("1") != j:
-            continue
-        total += delta.reduced_homology_dim(s, within=w)
-    return total
-
-
-def _hochster_table(I: MonomialIdeal, caps: Caps) -> BettiTable:
-    delta = stanley_reisner_complex(I)
-    entries: Dict[Tuple[int, int], int] = {}
-    for w in _nonface_unions(delta, caps):
-        j = bin(w).count("1")
-        for s, h in delta.homology_profile(within=w).items():
-            i = j - s - 1
-            if (i, j) == (0, 0):
-                continue  # the free part of S/I, not a syzygy of I
-            entries[(i, j)] = entries.get((i, j), 0) + h
-    return BettiTable(entries, engine="hochster")
+    return _lattice_betti(I, default_caps(), degree=j).get((i, j), 0)
 
 
 def _hochster_regularity(I: MonomialIdeal, caps: Caps) -> int:
-    """reg(I) = 2 + max dimension of nonvanishing restricted homology."""
-    delta = stanley_reisner_complex(I)
-    best = -2  # below any dimension, including H_{-1} of the empty complex
-    # larger W first: lets top-down scans stop early on dominated subsets
-    for w in sorted(_nonface_unions(delta, caps),
-                    key=lambda m: -bin(m).count("1")):
-        if w == 0:
+    """reg(I) = max over the lattice of j - i + 1 = j - |w| + s + 2, for
+    nonzero H~_s of the dual restricted to w."""
+    best = 0  # skips the bottom, whose H~_{-1} is the free part of S/I
+    # larger degrees first: a complex on |w| > 0 vertices has s <= |w| - 2,
+    # so an element of degree j <= best cannot raise best
+    for w, j, dual in sorted(_lcm_lattice(I, caps),
+                             key=lambda e: (-e[1], e[0])):
+        if j <= best:
             continue
-        card = bin(w).count("1")
-        if card - 2 <= best:
-            continue  # any homology here cannot beat the current max
-        s = delta.top_nonzero_homology(within=w, stop_below=best)
-        if s is not None and s > best:
-            best = s
-    if best == -2 and not I.is_zero:
-        # proper nonzero squarefree ideals always exhibit homology at the
-        # support of a single generator, so this branch is unreachable
+        shift = j - w.bit_count() + 2
+        s = dual.top_nonzero_homology(within=w, stop_below=best - shift)
+        if s is not None and s + shift > best:
+            best = s + shift
+    if best == 0 and not I.is_zero:
+        # proper nonzero ideals always exhibit homology at the lcm of a
+        # single generator, so this branch is unreachable
         raise AssertionError("no Hochster homology found for a nonzero ideal")
-    return best + 2
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -256,23 +261,23 @@ def koszul_betti_table(I: MonomialIdeal, max_j: Optional[int] = None,
 
 def betti_table(I: MonomialIdeal, engine: str = "auto",
                 caps: Optional[Caps] = None) -> BettiTable:
+    """Graded Betti table of S/I.  Engine "hochster" is the lcm-lattice
+    walk; "auto" runs it and falls back to the Koszul oracle past a cap."""
     if I.is_zero or I.is_unit:
         raise DomainError("Betti table needs a proper nonzero ideal")
     caps = caps or default_caps()
     if engine == "koszul":
         return koszul_betti_table(I, caps=caps)
-    if engine in ("auto", "hochster"):
-        if I.is_squarefree:
-            return _hochster_table(I, caps)
-        try:
-            pol = polarize(I, caps)
-        except ResourceCapError:
-            if engine == "hochster":
-                raise
-            return koszul_betti_table(I, caps=caps)
-        table = _hochster_table(pol.ideal, caps)
-        return BettiTable(table.entries, engine="hochster+polarization")
-    raise DomainError(f"unknown Betti engine: {engine}")
+    if engine not in ("auto", "hochster"):
+        raise DomainError(f"unknown Betti engine: {engine}")
+    try:
+        entries = _lattice_betti(I, caps)
+    except ResourceCapError:
+        if engine == "hochster":
+            raise
+        return koszul_betti_table(I, caps=caps)
+    del entries[(0, 0)]  # the free part of S/I, not a syzygy of I
+    return BettiTable(entries)
 
 
 def regularity(I: MonomialIdeal, engine: str = "auto",
@@ -280,11 +285,11 @@ def regularity(I: MonomialIdeal, engine: str = "auto",
     """Castelnuovo-Mumford regularity in the ideal convention.
 
     Engine "auto" first looks for a linear-quotients order within a budget
-    of mu * n search nodes (a witness gives reg = omega), then uses
-    Hochster on the (polarized) Stanley-Reisner complex, then the Koszul
-    oracle.  Deciding linear quotients is NP-hard; a witness usually turns
-    up within about mu nodes, and when the budget runs out the exact
-    engines answer instead.
+    of mu * n search nodes (a witness gives reg = omega), then walks the
+    lcm lattice as engine "hochster" does, then, past a cap, uses the
+    Koszul oracle.  Deciding linear quotients is NP-hard; a witness
+    usually turns up within about mu nodes, and when the budget runs out
+    the exact engines answer instead.
     """
     if I.is_zero:
         raise DomainError("regularity undefined for the zero ideal")
@@ -298,7 +303,7 @@ def regularity(I: MonomialIdeal, engine: str = "auto",
     if engine == "koszul":
         return koszul_betti_table(I, caps=caps).regularity()
     if engine == "hochster":
-        return _regularity_hochster_path(I, caps)
+        return _hochster_regularity(I, caps)
     if engine != "auto":
         raise DomainError(f"unknown regularity engine: {engine}")
 
@@ -308,16 +313,9 @@ def regularity(I: MonomialIdeal, engine: str = "auto",
         if order is not None and order is not UNDECIDED:
             return I.omega
     try:
-        return _regularity_hochster_path(I, caps)
+        return _hochster_regularity(I, caps)
     except ResourceCapError:
         return koszul_betti_table(I, caps=caps).regularity()
-
-
-def _regularity_hochster_path(I: MonomialIdeal, caps: Caps) -> int:
-    if I.is_squarefree:
-        return _hochster_regularity(I, caps)
-    pol = polarize(I, caps)
-    return _hochster_regularity(pol.ideal, caps)
 
 
 # ---------------------------------------------------------------------------

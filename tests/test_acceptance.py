@@ -20,8 +20,7 @@ from monograd.graphs import (SimpleGraph, complementary_edge_ideal,
 from monograd.ioformats import ideal_to_json
 from monograd.kruskal import many_generators_threshold
 from monograd.monomials import MonomialIdeal
-from monograd.resolution import (betti_table, has_linear_resolution, polarize,
-                                 regularity)
+from monograd.resolution import betti_table, has_linear_resolution, regularity
 from monograd.structure import (is_vertex_splittable, linear_quotients_order)
 from monograd.verify import (connected_graphs, random_ideal,
                              random_stable_ideal, random_veronese_type,
@@ -202,11 +201,8 @@ def test_criterion_11_structural_implications():
         if order is not None:
             if J.is_equigenerated:
                 assert has_linear_resolution(J, caps=caps), ideal_to_json(J)
-            # independent regularity engine wherever affordable; the
-            # linear-quotients shortcut is the claim under test
-            if J.is_squarefree or polarize(J).ideal.n <= 12:
-                r = regularity(J, engine="hochster")
-            else:
-                r = regularity(J, caps=caps)
+            # independent regularity engine; the linear-quotients
+            # shortcut is the claim under test
+            r = regularity(J, engine="hochster")
             assert r == J.omega, ideal_to_json(J)
     assert undecidable < len(pool) // 20

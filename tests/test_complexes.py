@@ -157,6 +157,11 @@ def test_top_nonzero_homology():
     assert sphere.top_nonzero_homology() == 2
     full = SimplicialComplex(2)
     assert full.top_nonzero_homology() is None
+    # a bound below every dimension examines them all
+    empty = SimplicialComplex(3, [{1}, {2}, {3}])
+    assert empty.top_nonzero_homology(stop_below=-5) == -1
+    assert sphere.top_nonzero_homology(stop_below=-9) == 2
+    assert full.top_nonzero_homology(stop_below=-3) is None
 
 
 def test_stanley_reisner_round_trip():

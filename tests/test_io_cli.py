@@ -195,3 +195,13 @@ def test_cli_nonface_unions_cap(ideal_file, monkeypatch, capsys):
     monkeypatch.setenv("MONOGRAD_CAPS", "nonface-unions=4")
     assert run_cli(["betti", f, "--engine", "hochster", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["regularity"] == 3
+
+
+def test_cli_betti_high_exponents(ideal_file, capsys):
+    # 60 polarized variables, past the polarized-vars cap; the lcm lattice
+    # has four elements
+    f = ideal_file({"n": 2, "gens": [[30, 0], [0, 30]]})
+    assert run_cli(["betti", f, "--engine", "hochster", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["engine"] == "hochster"
+    assert doc["entries"] == [[0, 30, 2], [1, 60, 1]]

@@ -11,7 +11,8 @@ import monograd.resolution as resolution
 from monograd.resolution import (betti_table,
                                  has_differential_linear_resolution,
                                  has_linear_resolution, hochster_betti,
-                                 koszul_betti, polarize, regularity)
+                                 koszul_betti, koszul_betti_table, polarize,
+                                 regularity)
 from monograd.structure import UNDECIDED, linear_quotients_order
 from monograd.verify import cycle_certificate, random_ideal
 
@@ -43,11 +44,47 @@ def test_polarization_preserves_betti_numbers():
     J = I(2, "x1^2", "x1*x2", "x2^3")
     expected = {(0, 2): 2, (0, 3): 1, (1, 3): 1, (1, 4): 1}
     t = betti_table(J, engine="hochster")
-    assert t.engine == "hochster+polarization"
+    assert t.engine == "hochster"
     assert t.ideal_entries() == expected
     assert betti_table(J, engine="koszul").ideal_entries() == expected
     P = polarize(J)
     assert P.ideal.is_squarefree and P.ideal.n == 5
+    assert betti_table(P.ideal).entries == t.entries
+
+
+# largest lcm degree per variable count that keeps the Koszul oracle cheap
+_SWEEP_LCM_DEGREE = {2: 10, 3: 9, 4: 8, 5: 7}
+
+
+def test_lattice_engine_matches_oracles_on_non_squarefree_sweep():
+    rng = random.Random(1934)
+    sweep = []
+    for n, bound in _SWEEP_LCM_DEGREE.items():
+        while sum(J.n == n for J in sweep) < 10:
+            J = random_ideal(n, 2, 4, rng.randint(2, 6), rng=rng)
+            lcm = [max(u[k] for u in J.gens) for k in range(n)]
+            if max(lcm) >= 3 and sum(lcm) <= bound:
+                sweep.append(J)
+    assert sum(J.mu >= 3 for J in sweep) > 15
+    for J in sweep:
+        t = betti_table(J, engine="hochster")
+        oracle = koszul_betti_table(J)  # regularity(engine="koszul") reads it
+        assert t.engine == "hochster"
+        assert t.entries == oracle.entries, J
+        assert regularity(J, engine="hochster") == oracle.regularity(), J
+        top = sum(max(u[k] for u in J.gens) for k in range(J.n))
+        for i in range(J.n + 2):
+            for j in range(top + 2):
+                expected = 1 if (i, j) == (0, 0) else t.entries.get((i, j), 0)
+                assert hochster_betti(J, i, j) == expected, (J, i, j)
+        assert betti_table(polarize(J).ideal).entries == t.entries, J
+
+
+def test_power_of_maximal_ideal_betti_table():
+    J = I(3, "x1", "x2", "x3") ** 6
+    t = betti_table(J, engine="hochster")
+    assert t.entries == koszul_betti_table(J).entries
+    assert t.regularity() == 6
 
 
 def test_polarization_cap():
