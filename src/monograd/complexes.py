@@ -37,7 +37,7 @@ def _from_mask(mask: int) -> FrozenSet[int]:
 
 
 def _antichain(masks: Iterable[int]) -> Tuple[int, ...]:
-    masks = sorted(set(masks), key=lambda m: (bin(m).count("1"), m))
+    masks = sorted(set(masks), key=lambda m: (m.bit_count(), m))
     kept: List[int] = []
     for m in masks:
         if not any(k & m == k for k in kept):

@@ -5,20 +5,20 @@ Betti numbers, since only lattice degrees b carry any (Gasharov-Peeva-
 Welker, 1999): beta_{i,b}(S/I) = dim H~_{i-2}(K^b) for the upper Koszul
 complex K^b = {F subseteq supp b : x^(b-F) in I} (Miller-Sturmfels, Thm
 1.34).  By Alexander duality this is dim H~_{|supp b|-i-1} of the dual of
-K^b on supp b; for squarefree I that dual is Delta_W, W = b, and the
-formula is Hochster's.  An independent Koszul-strand oracle computes the
-same Tor dimensions, and polarization is a public utility and oracle.
+K^b on supp b; for squarefree I that dual is Delta_W, W = supp b, and
+the formula is Hochster's.  An independent Koszul-strand oracle computes
+the same Tor dimensions, and polarization is a public utility and oracle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import le, or_
+from operator import le
 from typing import Dict, List, Optional, Tuple
 
 from .caps import Caps, default_caps
-from .complexes import SimplicialComplex, stanley_reisner_complex
+from .complexes import SimplicialComplex
 from .errors import DomainError, ResourceCapError
 from .exact_rank import sparse_rank
 from .gradient import gradient_chain
@@ -58,38 +58,31 @@ class BettiTable:
 # ---------------------------------------------------------------------------
 # the lcm lattice
 
-def _join_closure(gens, join, bottom, caps: Caps) -> set:
-    """The closure of gens under join, the bottom (empty join) included;
-    its size is bounded by the nonface-unions cap."""
-    closure = {bottom}
-    for g in gens:
-        closure |= {join(u, g) for u in closure}
-        if len(closure) > caps.nonface_unions:
+def _lcm_lattice(I: MonomialIdeal, caps: Caps) -> set:
+    """The lcm lattice of the generators, its bottom (the empty lcm)
+    included; its size is bounded by the nonface-unions cap."""
+    lattice = {(0,) * I.n}
+    for g in I.gens:
+        lattice |= {tuple(map(max, b, g)) for b in lattice}
+        if len(lattice) > caps.nonface_unions:
             raise ResourceCapError("nonface-unions", caps.nonface_unions,
-                                   len(closure))
-    return closure
+                                   len(lattice))
+    return lattice
 
 
-def _lcm_lattice(I: MonomialIdeal, caps: Caps):
-    """(w, j, D) for each element b of the lcm lattice: w is the mask of
-    supp b, j = deg b, and D restricted to w is the Alexander dual of K^b.
+def _koszul_dual(I: MonomialIdeal, b) -> Tuple[int, SimplicialComplex]:
+    """(w, D) for a lattice element b: w is the mask of supp b, and D
+    restricted to w is the Alexander dual of K^b.
 
     x^(b-F) lies in I iff some generator g dividing x^b has g_k < b_k for
-    every k in F, so the minimal nonfaces of the dual are the sets
-    {k : g_k = b_k > 0} of those g: the supports of the g in W when I is
-    squarefree, which is Delta_W.
+    every k in F, so the minimal nonfaces of D are the sets
+    {k : g_k = b_k > 0} of those g: for squarefree I the supports of the
+    g inside W = supp b, which is Hochster's Delta_W.
     """
-    if I.is_squarefree:
-        delta = stanley_reisner_complex(I)
-        for w in _join_closure(delta.nonface_masks, or_, 0, caps):
-            yield w, w.bit_count(), delta
-        return
-    for b in _join_closure(I.gens, lambda u, v: tuple(map(max, u, v)),
-                           (0,) * I.n, caps):
-        tight = ([k + 1 for k, (e, c) in enumerate(zip(g, b)) if e == c > 0]
-                 for g in I.gens if all(map(le, g, b)))
-        yield (sum(1 << k for k, c in enumerate(b) if c), sum(b),
-               SimplicialComplex(I.n, tight))
+    support = [k for k, c in enumerate(b) if c]
+    tight = ([k + 1 for k in support if g[k] == b[k]]
+             for g in I.gens if all(map(le, g, b)))
+    return sum(1 << k for k in support), SimplicialComplex(I.n, tight)
 
 
 def _lattice_betti(I: MonomialIdeal, caps: Caps,
@@ -97,8 +90,10 @@ def _lattice_betti(I: MonomialIdeal, caps: Caps,
     """Quotient-convention Betti numbers of S/I, (0, 0) included, from the
     lattice elements of the given degree only if one is given."""
     entries: Dict[Tuple[int, int], int] = {}
-    for w, j, dual in _lcm_lattice(I, caps):
+    for b in _lcm_lattice(I, caps):
+        j = sum(b)
         if degree is None or j == degree:
+            w, dual = _koszul_dual(I, b)
             for s, h in dual.homology_profile(within=w).items():
                 key = (w.bit_count() - s - 1, j)
                 entries[key] = entries.get(key, 0) + h
@@ -120,11 +115,12 @@ def _hochster_regularity(I: MonomialIdeal, caps: Caps) -> int:
     nonzero H~_s of the dual restricted to w."""
     best = 0  # skips the bottom, whose H~_{-1} is the free part of S/I
     # larger degrees first: a complex on |w| > 0 vertices has s <= |w| - 2,
-    # so an element of degree j <= best cannot raise best
-    for w, j, dual in sorted(_lcm_lattice(I, caps),
-                             key=lambda e: (-e[1], e[0])):
+    # so once j <= best no element can raise best
+    for j, b in sorted(((sum(b), b) for b in _lcm_lattice(I, caps)),
+                       reverse=True):
         if j <= best:
-            continue
+            break
+        w, dual = _koszul_dual(I, b)
         shift = j - w.bit_count() + 2
         s = dual.top_nonzero_homology(within=w, stop_below=best - shift)
         if s is not None and s + shift > best:

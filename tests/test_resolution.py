@@ -93,6 +93,20 @@ def test_polarization_cap():
         polarize(J, caps=Caps(polarized_vars=4))
 
 
+def test_auto_falls_back_to_koszul_past_the_lattice_cap():
+    # each lattice has 4 elements, bottom included, so a cap of 3 trips
+    capped = Caps(nonface_unions=3)
+    for J in (I(4, "x1*x2", "x3*x4"), I(2, "x1^2", "x2^2")):
+        with pytest.raises(ResourceCapError):
+            betti_table(J, engine="hochster", caps=capped)
+        with pytest.raises(ResourceCapError):
+            regularity(J, engine="hochster", caps=capped)
+        t = betti_table(J, caps=capped)
+        assert t.engine == "koszul"
+        assert t.entries == betti_table(J, engine="hochster").entries
+        assert regularity(J, caps=capped) == regularity(J, engine="hochster")
+
+
 def test_regularity_conventions():
     assert regularity(MonomialIdeal.unit(3)) == 0
     with pytest.raises(DomainError):
