@@ -7,7 +7,9 @@ Format: comma-separated key=value pairs, e.g.
 Recognized keys: polarized-vars, component-enum, lq-generators, colex-enum,
 nonface-unions.  polarized-vars bounds only polarize(); nonface-unions
 bounds the lcm lattice that the Betti and regularity walk visits, its
-bottom element included.
+bottom element included.  component-enum bounds the monomials of a degree
+component, the Koszul strand bases, and the (d+1)*2d exponents of the
+overlapping-windows family (`family thm23 --d`).
 """
 
 import os

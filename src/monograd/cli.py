@@ -7,6 +7,7 @@ Exit codes: 0 = computed / property true / verification passed,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import List, Optional
@@ -61,9 +62,12 @@ def _emit(doc, as_json: bool) -> None:
         print(doc)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    # --json is accepted both before and after the subcommand; SUPPRESS
-    # keeps the subparser default from clobbering a value parsed earlier
+    # built once per process: parse_args leaves the parser unchanged and
+    # starts each call from a fresh namespace.  --json is accepted both
+    # before and after the subcommand; SUPPRESS keeps the subparser
+    # default from clobbering a value parsed earlier
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
                         default=argparse.SUPPRESS,

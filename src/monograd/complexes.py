@@ -7,6 +7,13 @@ H~_{-1} of the complex {emptyset} one-dimensional.
 
 The void complex (no faces at all, not even the empty face) is a distinct
 flagged value; all its homology vanishes by convention.
+
+Homology reduces the boundary maps from the top dimension down, with
+clearing (Chen-Kerber, "Persistent homology computation with a twist",
+2011): every face that is a pivot row of the reduced d_{s+1} is the
+lowest entry of a cycle, so its column of d_s depends on earlier columns
+and is never built.  The ranks over Q, and so every homology dimension,
+are those of the full matrices.
 """
 
 from __future__ import annotations
@@ -52,7 +59,18 @@ class SimplicialComplex:
 
     def __init__(self, n: int, minimal_nonfaces: Iterable[Iterable[int]] = (),
                  void: bool = False):
-        masks = _antichain(_to_mask(f) for f in minimal_nonfaces)
+        self._fill(n, _antichain(_to_mask(f) for f in minimal_nonfaces), void)
+
+    @classmethod
+    def _from_masks(cls, n: int,
+                    nonface_masks: Iterable[int]) -> "SimplicialComplex":
+        """The complex on [n] with the given nonfaces, as masks inside
+        [n], without the vertex-list conversion of the constructor."""
+        delta = object.__new__(cls)
+        delta._fill(n, _antichain(nonface_masks), False)
+        return delta
+
+    def _fill(self, n, masks, void):
         if not void and 0 in masks:
             # the empty set as a nonface means no faces at all
             void, masks = True, ()
@@ -166,13 +184,14 @@ class SimplicialComplex:
     def homology_profile(self, within: Optional[int] = None) -> Dict[int, int]:
         """All nonzero reduced homology dimensions, by dimension s."""
         faces = self.faces_by_cardinality(within)
-        ranks = [_boundary_rank(faces, c) for c in range(len(faces))] + [0]
         out = {}
-        for c in range(len(faces)):
-            h = len(faces[c]) - ranks[c] - ranks[c + 1]
+        rank_above = 0
+        for c, rank in _boundary_ranks(faces, -1):
+            h = len(faces[c]) - rank - rank_above
             if h:
                 out[c - 1] = h
-        return out
+            rank_above = rank
+        return dict(reversed(out.items()))
 
     def top_nonzero_homology(self, within: Optional[int] = None,
                              stop_below: int = -1) -> Optional[int]:
@@ -182,20 +201,23 @@ class SimplicialComplex:
         above them is nonzero); any stop_below under -1 examines them all."""
         faces = self.faces_by_cardinality(within)
         rank_above = 0
-        for c in range(len(faces) - 1, max(stop_below, -2) + 1, -1):
-            rank = _boundary_rank(faces, c)
+        for c, rank in _boundary_ranks(faces, max(stop_below, -2) + 1):
             if len(faces[c]) - rank - rank_above:
                 return c - 1
             rank_above = rank
         return None
 
 
-def _boundary_columns(faces: Dict[int, List[int]], card: int) -> List[Dict[int, int]]:
+def _boundary_columns(faces: Dict[int, List[int]], card: int,
+                      cleared=()) -> List[Dict[int, int]]:
     """Columns of the boundary map from the faces of cardinality `card` to
-    those of cardinality card - 1, indexed by position in `faces`."""
+    those of cardinality card - 1, indexed by position in `faces`; the
+    columns at the positions in `cleared` are left out."""
     index = {f: i for i, f in enumerate(faces.get(card - 1, ()))}
     cols = []
-    for f in faces.get(card, ()):
+    for i, f in enumerate(faces.get(card, ())):
+        if i in cleared:
+            continue
         col = {}
         sign = 1  # (-1)^k for the k-th smallest vertex of f
         rest = f
@@ -208,8 +230,15 @@ def _boundary_columns(faces: Dict[int, List[int]], card: int) -> List[Dict[int, 
     return cols
 
 
-def _boundary_rank(faces: Dict[int, List[int]], card: int) -> int:
-    return sparse_rank(_boundary_columns(faces, card))
+def _boundary_ranks(faces: Dict[int, List[int]], stop: int):
+    """(c, rank of d_c) for c from the top cardinality down to stop + 1,
+    each d_c built without the columns of the pivot rows of d_{c+1}."""
+    cleared = set()
+    for c in range(len(faces) - 1, stop, -1):
+        pivots = set()
+        yield c, sparse_rank(_boundary_columns(faces, c, cleared),
+                             pivot_rows=pivots)
+        cleared = pivots
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,14 @@ that keeps the column space over Q: a +-1 pivot is subtracted as is; any
 other pivot p clears entry c through (p/g)*col - (c/g)*pivot with
 g = gcd(p, c), after which the column is divided by its content.
 
+Each reduced column that claims row r is a combination of the input
+columns with a nonzero lowest entry at r.  For a boundary map d_{s+1}
+that combination is a cycle, so column r of d_s is a combination of the
+columns of d_s before it.  Leaving every such column out of d_s keeps
+its rank over Q: this is clearing (Chen-Kerber, "Persistent homology
+computation with a twist", 2011), and `pivot_rows` collects the rows it
+needs.
+
 `bareiss_rank` is a dense fraction-free elimination kept as an
 independent oracle for tests.
 """
@@ -51,8 +59,11 @@ def bareiss_rank(rows):
     return rank
 
 
-def sparse_rank(columns):
-    """Rank of a sparse integer matrix given as columns: dicts row->value."""
+def sparse_rank(columns, pivot_rows=None):
+    """Rank of a sparse integer matrix given as columns: dicts row->value.
+
+    If `pivot_rows` is a set, the lowest rows of the reduced nonzero
+    columns are added to it."""
     pivots = {}  # lowest row -> (its entry, the rest of the reduced column)
     for column in columns:
         col = {r: v for r, v in column.items() if v}
@@ -82,4 +93,6 @@ def sparse_rank(columns):
                 if g > 1:
                     for r in col:
                         col[r] //= g
+    if pivot_rows is not None:
+        pivot_rows.update(pivots)
     return len(pivots)

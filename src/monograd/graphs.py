@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import FrozenSet, List, Optional, Tuple
 
-from .errors import DomainError
+from .caps import default_caps
+from .errors import DomainError, ResourceCapError
 from .monomials import MonomialIdeal, supp, variable
 
 
@@ -226,10 +227,15 @@ def family_reg_gap(a: int) -> RegGapFamily:
 
 
 def family_overlap_run(d: int) -> MonomialIdeal:
-    """The d+1 consecutive windows of length d in 2d variables."""
+    """The d+1 consecutive windows of length d in 2d variables.
+
+    Their (d+1)*2d exponents are bounded by the component-enum cap."""
     if d < 3:
         raise DomainError("overlap family needs d >= 3")
     n = 2 * d
+    size, cap = (d + 1) * n, default_caps().component_enum
+    if size > cap:
+        raise ResourceCapError("component-enum", cap, size)
     gens = []
     for i in range(1, d + 2):
         u = [0] * n

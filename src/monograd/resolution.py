@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import le
+from itertools import compress
+from operator import eq, le
 from typing import Dict, List, Optional, Tuple
 
 from .caps import Caps, default_caps
@@ -22,7 +23,8 @@ from .complexes import SimplicialComplex
 from .errors import DomainError, ResourceCapError
 from .exact_rank import sparse_rank
 from .gradient import gradient_chain
-from .monomials import MonomialIdeal, mono_mul, monomials_of_degree, variable
+from .monomials import (MonomialIdeal, _support_mask, mono_mul,
+                        monomials_of_degree, variable)
 from .structure import UNDECIDED, linear_quotients_order
 
 
@@ -79,10 +81,15 @@ def _koszul_dual(I: MonomialIdeal, b) -> Tuple[int, SimplicialComplex]:
     {k : g_k = b_k > 0} of those g: for squarefree I the supports of the
     g inside W = supp b, which is Hochster's Delta_W.
     """
-    support = [k for k, c in enumerate(b) if c]
-    tight = ([k + 1 for k in support if g[k] == b[k]]
-             for g in I.gens if all(map(le, g, b)))
-    return sum(1 << k for k in support), SimplicialComplex(I.n, tight)
+    w = _support_mask(b)
+    outside = ~w
+    bits = [1 << k for k in range(I.n)]
+    # generators dividing x^b: support inside w, then every exponent;
+    # g_k = b_k outside w only where both are 0, so & w drops those k
+    tight = [sum(compress(bits, map(eq, g, b))) & w
+             for g, m in zip(I.gens, I._masks)
+             if not m & outside and all(map(le, g, b))]
+    return w, SimplicialComplex._from_masks(I.n, tight)
 
 
 def _lattice_betti(I: MonomialIdeal, caps: Caps,

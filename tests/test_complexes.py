@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import monograd.complexes as complexes
 from monograd.complexes import (SimplicialComplex, _from_mask,
                                 stanley_reisner_complex, stanley_reisner_ideal)
 from monograd.errors import DomainError
@@ -162,6 +163,62 @@ def test_top_nonzero_homology():
     assert empty.top_nonzero_homology(stop_below=-5) == -1
     assert sphere.top_nonzero_homology(stop_below=-9) == 2
     assert full.top_nonzero_homology(stop_below=-3) is None
+
+
+def _uncleared_ranks(delta, within):
+    """rank d_c for every cardinality c, from the full boundary matrices
+    and the dense oracle, with rank d_c = 0 past the top."""
+    top = len(delta.faces_by_cardinality(within))
+    ranks = []
+    for c in range(top + 1):
+        cols, nrows, _ = delta.boundary_matrix(c - 1, within)
+        ranks.append(bareiss_rank(_dense(cols, nrows)))
+    return ranks
+
+
+def _clearing_cases():
+    rng = random.Random(2011)
+    cases = [SimplicialComplex.void_complex(3),
+             SimplicialComplex(3, [{1}, {2}, {3}]),  # {emptyset}
+             SimplicialComplex(4),                   # full simplex
+             SimplicialComplex(5, [{1, 2}, {3, 4}, {2, 3, 4}]),  # cone on 5
+             *(SimplicialComplex(k, [range(1, k + 1)])  # S^(k-2)
+               for k in range(1, 7))]
+    for _ in range(150):
+        n = rng.randint(1, 8)
+        nonfaces = [rng.sample(range(1, n + 1), rng.randint(1, n))
+                    for _ in range(rng.randint(0, 5))]
+        cases.append(SimplicialComplex(n, nonfaces))
+    return [(delta, within) for delta in cases
+            for within in (None, rng.getrandbits(delta.n))]
+
+
+def test_clearing_keeps_homology(monkeypatch):
+    built = []
+
+    def counting_rank(columns, pivot_rows=None):
+        built.append(len(columns))
+        return sparse_rank(columns, pivot_rows)
+
+    monkeypatch.setattr(complexes, "sparse_rank", counting_rank)
+    cleared_any = False
+    for delta, within in _clearing_cases():
+        faces = delta.faces_by_cardinality(within)
+        ranks = _uncleared_ranks(delta, within)
+        expected = {c - 1: len(faces[c]) - ranks[c] - ranks[c + 1]
+                    for c in range(len(faces))}
+        expected = {s: h for s, h in expected.items() if h}
+        built.clear()
+        assert delta.homology_profile(within) == expected, (delta, within)
+        # d_c is built without one column per pivot row of d_{c+1}
+        assert built == [len(faces[c]) - ranks[c + 1]
+                         for c in range(len(faces) - 1, -1, -1)]
+        cleared_any |= sum(built) < sum(map(len, faces.values()))
+        for stop_below in range(-3, delta.n):
+            above = [s for s in expected if s > stop_below]
+            assert delta.top_nonzero_homology(within, stop_below) == \
+                (max(above) if above else None), (delta, within, stop_below)
+    assert cleared_any
 
 
 def test_stanley_reisner_round_trip():

@@ -1,8 +1,14 @@
+import argparse
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from monograd import cli
 from monograd.cli import run_cli
 from monograd.errors import DomainError
 from monograd.ioformats import (ideal_to_json, parse_generators,
@@ -10,7 +16,7 @@ from monograd.ioformats import (ideal_to_json, parse_generators,
                                 parse_monomial_string, serialize_graph,
                                 serialize_ideal)
 from monograd.monomials import MonomialIdeal
-from monograd.verify import random_ideal
+from monograd.verify import Report, random_ideal
 
 
 def I(n, *strs):
@@ -205,3 +211,83 @@ def test_cli_betti_high_exponents(ideal_file, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["engine"] == "hochster"
     assert doc["entries"] == [[0, 30, 2], [1, 60, 1]]
+
+
+def test_cli_parser_is_built_once_and_reused_safely(ideal_file, monkeypatch,
+                                                     capsys):
+    f = ideal_file({"n": 3, "gens": ["x1*x2", "x2*x3"]})
+    seen = []
+
+    def fake_verify(theorem_id, params, seed=0):
+        seen.append(params)
+        return Report(theorem_id=theorem_id, parameters=params, seed=seed)
+
+    monkeypatch.setattr(cli, "verify_theorem", fake_verify)
+    builds = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(1)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._build_parser.cache_clear()
+    try:
+        # an appended --param must not leak into the next call's default
+        assert run_cli(["verify", "thm4.3", "--param", "n=4"]) == 0
+        assert run_cli(["verify", "thm4.3"]) == 0
+        assert seen == [{"n": 4}, {}]
+        capsys.readouterr()
+        # --json before or after the subcommand, then plain text again
+        assert run_cli(["--json", "reg", f]) == 0
+        assert json.loads(capsys.readouterr().out) == {"regularity": 2}
+        assert run_cli(["reg", f, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"regularity": 2}
+        assert run_cli(["reg", f]) == 0
+        assert capsys.readouterr().out == "2\n"
+        # a usage error leaves the parser usable
+        assert run_cli(["reg"]) == 2
+        assert run_cli(["reg", f]) == 0
+        assert run_cli(["--help"]) == 0
+        assert "monograd" in capsys.readouterr().out
+        built = len(builds)
+        assert built > 1  # the main parser and its subcommand parsers
+        for _ in range(20):
+            assert run_cli(["reg", f]) == 0
+        assert len(builds) == built
+    finally:
+        cli._build_parser.cache_clear()
+
+
+def test_cli_overlap_family_size_is_capped(monkeypatch, capsys):
+    # the family holds (d+1)*2d exponents: 84 for d = 6, 112 for d = 7
+    monkeypatch.setenv("MONOGRAD_CAPS", "component-enum=100")
+    assert run_cli(["family", "thm23", "--d", "6", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["n"] == 12
+    for d in ("7", "10"):
+        assert run_cli(["family", "thm23", "--d", d]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "component-enum" in err[0] and captured.out == ""
+
+
+def test_python_dash_m_runs_the_cli(ideal_file, tmp_path):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env.pop("MONOGRAD_CAPS", None)
+
+    def monograd(*argv):
+        return subprocess.run([sys.executable, "-m", "monograd", *argv],
+                              env=env, capture_output=True, text=True,
+                              timeout=60)
+
+    good = monograd("reg", ideal_file({"n": 3, "gens": ["x1*x2", "x2*x3"]}))
+    assert (good.returncode, good.stdout, good.stderr) == (0, "2\n", "")
+    bad_path = tmp_path / "broken.json"
+    bad_path.write_text("{not json")
+    bad = monograd("reg", str(bad_path))
+    assert bad.returncode == 2 and bad.stdout == ""
+    err = bad.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from monograd.caps import Caps
+from monograd.complexes import SimplicialComplex
 from monograd.errors import DomainError, ResourceCapError
 from monograd.gradient import gradient, iterated_gradient
 from monograd.graphs import family_overlap_run, family_reg_gap
@@ -56,7 +57,8 @@ def test_polarization_preserves_betti_numbers():
 _SWEEP_LCM_DEGREE = {2: 10, 3: 9, 4: 8, 5: 7}
 
 
-def test_lattice_engine_matches_oracles_on_non_squarefree_sweep():
+def _non_squarefree_sweep():
+    """40 seeded ideals, 10 for each n in 2..5, some exponent >= 3."""
     rng = random.Random(1934)
     sweep = []
     for n, bound in _SWEEP_LCM_DEGREE.items():
@@ -65,6 +67,11 @@ def test_lattice_engine_matches_oracles_on_non_squarefree_sweep():
             lcm = [max(u[k] for u in J.gens) for k in range(n)]
             if max(lcm) >= 3 and sum(lcm) <= bound:
                 sweep.append(J)
+    return sweep
+
+
+def test_lattice_engine_matches_oracles_on_non_squarefree_sweep():
+    sweep = _non_squarefree_sweep()
     assert sum(J.mu >= 3 for J in sweep) > 15
     for J in sweep:
         t = betti_table(J, engine="hochster")
@@ -78,6 +85,29 @@ def test_lattice_engine_matches_oracles_on_non_squarefree_sweep():
                 expected = 1 if (i, j) == (0, 0) else t.entries.get((i, j), 0)
                 assert hochster_betti(J, i, j) == expected, (J, i, j)
         assert betti_table(polarize(J).ideal).entries == t.entries, J
+
+
+def test_mask_built_dual_matches_public_constructor():
+    rng = random.Random(1999)
+    ideals = _non_squarefree_sweep() + [
+        random_ideal(n, 1, n, rng.randint(1, min(8, 2 ** n - 1)),
+                     squarefree=True, rng=rng)
+        for n in (1, 2, 3, 4, 5, 6, 7) for _ in range(5)]
+    voids = 0
+    for J in ideals:
+        for b in resolution._lcm_lattice(J, Caps()):
+            w, dual = resolution._koszul_dual(J, b)
+            assert w == sum(1 << k for k, c in enumerate(b) if c)
+            tight = [[k + 1 for k in range(J.n) if b[k] and g[k] == b[k]]
+                     for g in J.gens
+                     if all(gk <= bk for gk, bk in zip(g, b))]
+            public = SimplicialComplex(J.n, tight)
+            assert dual.void == public.void, (J, b)
+            assert dual.faces_by_cardinality(w) == \
+                public.faces_by_cardinality(w), (J, b)
+            assert dual == public, (J, b)
+            voids += dual.void
+    assert voids > 0  # some generator lies below b on all of supp b
 
 
 def test_power_of_maximal_ideal_betti_table():
