@@ -28,6 +28,8 @@ from .monomials import MonomialIdeal, supp
 def _to_mask(vertices: Iterable[int]) -> int:
     m = 0
     for v in vertices:
+        if v < 1:
+            raise DomainError(f"vertex {v} out of range, vertices start at 1")
         m |= 1 << (v - 1)
     return m
 
@@ -59,7 +61,10 @@ class SimplicialComplex:
 
     def __init__(self, n: int, minimal_nonfaces: Iterable[Iterable[int]] = (),
                  void: bool = False):
-        self._fill(n, _antichain(_to_mask(f) for f in minimal_nonfaces), void)
+        masks = [_to_mask(f) for f in minimal_nonfaces]
+        if any(m >> n for m in masks):
+            raise DomainError(f"nonface vertices out of range 1..{n}")
+        self._fill(n, _antichain(masks), void)
 
     @classmethod
     def _from_masks(cls, n: int,

@@ -9,15 +9,14 @@ from itertools import accumulate, repeat
 from typing import Iterator
 
 from .errors import DomainError
-from .monomials import MonomialIdeal, divide_by_variable, supp
+from .monomials import MonomialIdeal
 
 
 def gradient(I: MonomialIdeal) -> MonomialIdeal:
     """Ideal generated by u/x_i for u in G(I), i in supp(u)."""
     if I.is_zero or I.is_unit:
         return I
-    return MonomialIdeal._trusted(I.n, [divide_by_variable(u, i)
-                                        for u in I.gens for i in supp(u)])
+    return MonomialIdeal._trusted(I.n, I._quotients())
 
 
 def gradient_via_colon(I: MonomialIdeal) -> MonomialIdeal:

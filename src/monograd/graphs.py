@@ -179,13 +179,11 @@ def gradient_power_closed_form(dec: QuadraticDecomposition, n: int,
         raise DomainError("k must be >= 1")
     if not 0 <= ell <= 2 * k:
         raise DomainError(f"ell={ell} out of range 0..{2*k}")
+    if k <= ell:
+        return MonomialIdeal.maximal(n) ** (2 * k - ell)
     v, P, J = dec.v, dec.P, dec.J
     xv = MonomialIdeal(n, (variable(n, v),))
     nn = MonomialIdeal(n, [variable(n, i) for i in range(1, n + 1) if i != v])
-    mm = MonomialIdeal.maximal(n)
-
-    if k <= ell:
-        return mm ** (2 * k - ell)
     if ell == 0:
         out = MonomialIdeal.zero(n)
         for r in range(k + 1):

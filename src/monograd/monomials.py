@@ -6,10 +6,14 @@ minimal monomial generating set, canonically ordered (degree ascending,
 then lexicographically descending on exponent vectors), so equal ideals
 compare equal structurally and all outputs are byte-deterministic.
 
-Divisibility tests in the core are screened before any exponents are
-compared: a monomial of degree d is divisible only by monomials of degree
-< d (or itself), and v can divide u only if the support bitmask of v lies
-inside that of u.
+Every ideal keeps the degree and support bitmask of each generator, and
+derived ideals take them from their operands instead of recomputing
+them: uv has degree d_u + d_v and mask m_u | m_v, u/x_i has degree
+d_u - 1 and keeps bit i - 1 unless x_i divides u only once, and a sum
+keeps both operands' entries.  They screen divisibility tests before any
+exponents are compared: a monomial of degree d is divisible only by
+monomials of degree < d (or itself), and v can divide u only if the
+support bitmask of v lies inside that of u.
 
 Variables are 1-based throughout the public API, matching x_1,...,x_n.
 """
@@ -19,7 +23,7 @@ from __future__ import annotations
 import math
 import warnings
 from itertools import combinations, compress, count, repeat
-from operator import add, le, neg
+from operator import add, itemgetter, le, neg
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .caps import Caps, default_caps
@@ -57,6 +61,10 @@ def divides(u: Monomial, v: Monomial) -> bool:
     return all(map(le, u, v))
 
 
+def _add_exponents(u: Monomial, v: Monomial) -> Monomial:
+    return tuple(map(add, u, v))
+
+
 def mono_mul(u: Monomial, v: Monomial) -> Monomial:
     w = tuple(map(add, u, v))
     if max(w, default=0) > EXPONENT_BOUND:
@@ -67,10 +75,6 @@ def mono_mul(u: Monomial, v: Monomial) -> Monomial:
 def divide_by_variable(u: Monomial, i: int) -> Monomial:
     """u / x_i by lowering u[i-1]; requires x_i | u, which is not checked."""
     return u[:i - 1] + (u[i - 1] - 1,) + u[i:]
-
-
-def is_squarefree_monomial(u: Monomial) -> bool:
-    return all(e <= 1 for e in u)
 
 
 def monomial_str(u: Monomial) -> str:
@@ -137,6 +141,12 @@ def _check_monomial(u, n: Optional[int]) -> Monomial:
     return u
 
 
+def _check_ambient(n: int) -> int:
+    if n < 0:
+        raise DomainError("ambient variable count must be >= 0")
+    return n
+
+
 def _support_mask(u: Monomial) -> int:
     """Bit k set iff x_{k+1} divides u."""
     m = 0
@@ -155,34 +165,30 @@ class GeneratorStats(NamedTuple):
     support: frozenset
 
 
-def _minimal_elements(gens: Sequence[Monomial]):
-    """Divisibility-minimal elements, canonically sorted.
+def _minimal_elements(entries: dict) -> dict:
+    """The divisibility-minimal entries of {u: (deg u, support mask of u)},
+    in canonical order.
 
-    Returns (kept, degrees, support masks) as three parallel tuples.  Each
-    u is compared only with kept generators of strictly lower degree whose
-    support mask lies inside that of u, so equigenerated inputs need no
-    comparisons at all.
+    Each u is compared only with kept generators of strictly lower degree
+    whose support mask lies inside that of u, so equigenerated inputs need
+    no comparisons at all.
     """
-    kept, degs, masks = [], [], []
-    lower = []  # (v, mask) for kept v with deg(v) < the current degree
-    ordered = sorted(set(gens), reverse=True)
-    ordered.sort(key=sum)  # stable, so this is the canonical_key order
-    for u in ordered:
-        d = sum(u)
-        k = len(lower)
-        while k < len(kept) and degs[k] < d:
-            lower.append((kept[k], masks[k]))
-            k += 1
-        m = _support_mask(u)
+    kept = {}
+    lower, level, top = [], [], 0  # kept (v, mask) of degree < top, = top
+    ordered = sorted(entries.items(), reverse=True)
+    ordered.sort(key=lambda e: e[1][0])  # stable: the canonical order
+    for u, (d, m) in ordered:
+        if d > top:
+            lower += level
+            level, top = [], d
         outside = ~m
         for v, vm in lower:
             if not vm & outside and divides(v, u):
                 break
         else:
-            kept.append(u)
-            degs.append(d)
-            masks.append(m)
-    return tuple(kept), tuple(degs), tuple(masks)
+            kept[u] = d, m
+            level.append((u, m))
+    return kept
 
 
 class MonomialIdeal:
@@ -195,30 +201,26 @@ class MonomialIdeal:
     __slots__ = ("n", "gens", "_degs", "_masks")
 
     def __init__(self, n: int, gens: Iterable = ()):
-        if n < 0:
-            raise DomainError("ambient variable count must be >= 0")
+        _check_ambient(n)
         checked = [_check_monomial(u, n) for u in gens]
-        self._fill(n, *_minimal_elements(checked))
+        self._fill(n, _minimal_elements(
+            {u: (sum(u), _support_mask(u)) for u in checked}))
 
-    def _fill(self, n, kept, degs, masks):
+    def _fill(self, n, entries):
+        values = entries.values()
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "gens", kept)
+        object.__setattr__(self, "gens", tuple(entries))
         # the divisibility screen of each generator, for contains()
-        object.__setattr__(self, "_degs", degs)
-        object.__setattr__(self, "_masks", masks)
+        object.__setattr__(self, "_degs", tuple(map(itemgetter(0), values)))
+        object.__setattr__(self, "_masks", tuple(map(itemgetter(1), values)))
 
     @classmethod
-    def _trusted(cls, n: int, gens, minimal: bool = False) -> "MonomialIdeal":
-        """The ideal on monomials already checked for n (tuples of in-range
-        exponents), built without the constructor's checks.  With minimal
-        set, gens must be minimal and canonically sorted, and are kept."""
+    def _trusted(cls, n: int, entries: dict, minimal=False) -> "MonomialIdeal":
+        """The ideal on entries {u: (deg u, support mask of u)} of checked
+        monomials, built without the constructor's checks.  With minimal
+        set, the entries must be minimal and canonically ordered."""
         I = object.__new__(cls)
-        if minimal:
-            gens = tuple(gens)
-            I._fill(n, gens, tuple(map(sum, gens)),
-                    tuple(map(_support_mask, gens)))
-        else:
-            I._fill(n, *_minimal_elements(gens))
+        I._fill(n, entries if minimal else _minimal_elements(entries))
         return I
 
     def __setattr__(self, *args):
@@ -227,16 +229,19 @@ class MonomialIdeal:
     # -- constructors -------------------------------------------------
     @classmethod
     def zero(cls, n: int) -> "MonomialIdeal":
-        return cls(n, ())
+        return cls._trusted(_check_ambient(n), {}, minimal=True)
 
     @classmethod
     def unit(cls, n: int) -> "MonomialIdeal":
-        return cls(n, (unit_monomial(n),))
+        return cls._trusted(_check_ambient(n), {unit_monomial(n): (0, 0)},
+                            minimal=True)
 
     @classmethod
     def maximal(cls, n: int) -> "MonomialIdeal":
         """The graded maximal ideal (x_1, ..., x_n)."""
-        return cls(n, (variable(n, i) for i in range(1, n + 1)))
+        return cls._trusted(_check_ambient(n), {
+            variable(n, i): (1, 1 << (i - 1)) for i in range(1, n + 1)},
+            minimal=True)
 
     @classmethod
     def from_strings(cls, n: int, gens: Iterable[str]) -> "MonomialIdeal":
@@ -251,7 +256,7 @@ class MonomialIdeal:
 
     @property
     def is_unit(self) -> bool:
-        return len(self.gens) == 1 and deg(self.gens[0]) == 0
+        return self._degs == (0,)
 
     @property
     def is_proper(self) -> bool:
@@ -259,19 +264,20 @@ class MonomialIdeal:
 
     @property
     def is_squarefree(self) -> bool:
-        return all(is_squarefree_monomial(u) for u in self.gens)
+        # a generator is squarefree iff its degree is the size of its support
+        return tuple(map(int.bit_count, self._masks)) == self._degs
 
     @property
     def alpha(self) -> int:
         if self.is_zero:
             raise DomainError("alpha undefined for the zero ideal")
-        return deg(self.gens[0])
+        return self._degs[0]
 
     @property
     def omega(self) -> int:
         if self.is_zero:
             raise DomainError("omega undefined for the zero ideal")
-        return deg(self.gens[-1])
+        return self._degs[-1]
 
     @property
     def mu(self) -> int:
@@ -301,8 +307,11 @@ class MonomialIdeal:
 
     def contains(self, u) -> bool:
         u = _check_monomial(u, self.n)
-        d = sum(u)
-        outside = ~_support_mask(u)
+        return self._contains(u, sum(u), _support_mask(u))
+
+    def _contains(self, u, d: int, mask: int) -> bool:
+        """Membership of a checked u of degree d and support mask `mask`."""
+        outside = ~mask
         for g, gd, gm in zip(self.gens, self._degs, self._masks):
             if gd > d:
                 return False  # generators are degree-ascending
@@ -313,7 +322,7 @@ class MonomialIdeal:
     def contains_ideal(self, other: "MonomialIdeal") -> bool:
         """True iff other <= self as ideals."""
         self._check_same_ambient(other)
-        return all(self.contains(u) for u in other.gens)
+        return all(map(self._contains, other.gens, other._degs, other._masks))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MonomialIdeal):
@@ -332,16 +341,22 @@ class MonomialIdeal:
     # -- arithmetic ------------------------------------------------------
     def __add__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         self._check_same_ambient(other)
-        return MonomialIdeal._trusted(self.n, self.gens + other.gens)
+        entries = dict(zip(self.gens, zip(self._degs, self._masks)))
+        entries.update(zip(other.gens, zip(other._degs, other._masks)))
+        return MonomialIdeal._trusted(self.n, entries)
 
     def __mul__(self, other) -> "MonomialIdeal":
         if isinstance(other, tuple):
             other = MonomialIdeal(self.n, (other,))
         self._check_same_ambient(other)
-        if self.is_zero or other.is_zero:
-            return MonomialIdeal.zero(self.n)
-        prods = [mono_mul(u, v) for u in self.gens for v in other.gens]
-        return MonomialIdeal._trusted(self.n, prods)
+        # no exponent of a product exceeds its degree, so mono_mul checks
+        # the products only where the largest degrees could pass the bound
+        top = sum(self._degs[-1:] + other._degs[-1:])
+        mul = mono_mul if top > EXPONENT_BOUND else _add_exponents
+        return MonomialIdeal._trusted(self.n, {
+            mul(u, v): (du + dv, mu | mv)
+            for u, du, mu in zip(self.gens, self._degs, self._masks)
+            for v, dv, mv in zip(other.gens, other._degs, other._masks)})
 
     __rmul__ = __mul__
 
@@ -359,8 +374,27 @@ class MonomialIdeal:
         """(I : x_i)."""
         if not 1 <= i <= self.n:
             raise DomainError(f"variable index {i} out of range 1..{self.n}")
-        new = [divide_by_variable(u, i) if u[i - 1] else u for u in self.gens]
-        return MonomialIdeal._trusted(self.n, new)
+        div, rest = self._split(i)
+        return MonomialIdeal._trusted(self.n, {**rest, **div})
+
+    def _quotients(self) -> dict:
+        """Entries of u / x_i for the u in G(I) and the x_i dividing u."""
+        return {u[:k] + (u[k] - 1,) + u[k + 1:]:
+                (d - 1, m if u[k] > 1 else m ^ 1 << k)
+                for u, d, m in zip(self.gens, self._degs, self._masks)
+                for k in compress(count(), u)}
+
+    def _split(self, i: int):
+        """Entries u / x_i of the u in G(I) that x_i divides, and the rest."""
+        k, bit = i - 1, 1 << (i - 1)
+        div, rest = {}, {}
+        for u, d, m in zip(self.gens, self._degs, self._masks):
+            if m & bit:
+                e = u[k]
+                div[u[:k] + (e - 1,) + u[i:]] = (d - 1, m if e > 1 else m ^ bit)
+            else:
+                rest[u] = (d, m)
+        return div, rest
 
     def degree_component(self, j: int, caps: Optional[Caps] = None) -> "MonomialIdeal":
         """The ideal generated by every degree-j monomial lying in I."""
@@ -387,7 +421,8 @@ class MonomialIdeal:
         gens = [tuple(u[i] for i in idx) for u in self.gens]
         # dropping variables no generator uses keeps divisibility, degrees
         # and the lexicographic order, so gens stays minimal and canonical
-        return MonomialIdeal._trusted(len(used), gens, minimal=True), used
+        entries = {u: (d, _support_mask(u)) for u, d in zip(gens, self._degs)}
+        return MonomialIdeal._trusted(len(used), entries, minimal=True), used
 
 
 # ---------------------------------------------------------------------------

@@ -151,11 +151,6 @@ def has_linear_quotients(I: MonomialIdeal, caps: Optional[Caps] = None) -> bool:
 # ---------------------------------------------------------------------------
 # vertex splittability
 
-def _canonical_compressed_key(I: MonomialIdeal):
-    J, _ = I.compress()
-    return (J.n, J.gens)
-
-
 def is_vertex_splittable(I: MonomialIdeal,
                          _memo: Optional[Dict] = None) -> bool:
     return vertex_split_tree(I, _memo) is not None
@@ -165,13 +160,12 @@ def vertex_split_tree(I: MonomialIdeal, _memo: Optional[Dict] = None):
     """Recursion witness for vertex splittability, or None.
 
     Leaves are the base cases (zero, unit, principal); internal nodes record
-    the splitting variable and the two parts.
+    the splitting variable and the two parts.  The memo is keyed by the
+    generators, which fix the variable indices a tree records.
     """
     memo = _memo if _memo is not None else {}
-    key = _canonical_compressed_key(I)
-    if key in memo:
-        return memo[key]
-    memo[key] = None  # guards against re-entry; overwritten below
+    if I.gens in memo:
+        return memo[I.gens]
 
     if I.is_zero:
         tree = {"base": "zero"}
@@ -182,26 +176,17 @@ def vertex_split_tree(I: MonomialIdeal, _memo: Optional[Dict] = None):
     else:
         tree = None
         for i in sorted(I.support):
-            div = [u for u in I.gens if u[i - 1] > 0]
-            rest = [u for u in I.gens if u[i - 1] == 0]
-            if not div:
-                continue
-            # dividing by x_i keeps div minimal and canonically sorted, so
-            # the generator sets of x_i*I1 and I2 partition G(I)
-            I1 = MonomialIdeal._trusted(
-                I.n, [divide_by_variable(u, i) for u in div], minimal=True)
+            # dividing by x_i keeps the multiples of x_i minimal and
+            # canonically sorted, so x_i*G(I1) and G(I2) partition G(I)
+            div, rest = I._split(i)
+            I1 = MonomialIdeal._trusted(I.n, div, minimal=True)
             I2 = MonomialIdeal._trusted(I.n, rest, minimal=True)
-            if not I1.contains_ideal(I2):
-                continue
-            t1 = vertex_split_tree(I1, memo)
-            if t1 is None:
-                continue
-            t2 = vertex_split_tree(I2, memo)
-            if t2 is None:
-                continue
-            tree = {"split_variable": i, "divisible_part": t1, "rest": t2}
-            break
-    memo[key] = tree
+            if (I1.contains_ideal(I2)
+                    and (t1 := vertex_split_tree(I1, memo)) is not None
+                    and (t2 := vertex_split_tree(I2, memo)) is not None):
+                tree = {"split_variable": i, "divisible_part": t1, "rest": t2}
+                break
+    memo[I.gens] = tree
     return tree
 
 

@@ -221,6 +221,17 @@ def test_clearing_keeps_homology(monkeypatch):
     assert cleared_any
 
 
+def test_constructor_rejects_vertices_out_of_range():
+    for nonfaces in ([{5}], [{0}], [{1, 4}], [{-1, 2}], [{1}, {2, 3, 4}]):
+        with pytest.raises(DomainError):
+            SimplicialComplex(3, nonfaces)
+    delta = SimplicialComplex(3, [{1, 3}])
+    assert delta.is_face({1, 2}) and not delta.is_face({1, 2, 3})
+    assert SimplicialComplex(0, [set()]).void
+    # the internal mask constructor trusts its caller's masks
+    assert SimplicialComplex._from_masks(3, [0b101]) == delta
+
+
 def test_stanley_reisner_round_trip():
     J = I(4, "x1*x2", "x3*x4")
     delta = stanley_reisner_complex(J)

@@ -298,25 +298,54 @@ def _assert_rebuilds(J, queries):
 
 def test_trusted_arithmetic_matches_public_constructor():
     checked = 0
+    seen = {"mixed sum": 0, "mixed product": 0, "gradient, exponents 1 and 2+": 0}
     for n, raw, queries in _oracle_cases():
         A = MonomialIdeal(n, raw)
         B = MonomialIdeal(n, raw[1::3])
-        results = [gradient(A), A + B, A ** 0, A ** 1, A.compress()[0],
-                   MonomialIdeal.maximal(n)]
+        gA = gradient(A)
+        results = [gA, A + B, gA + B, A ** 0, A ** 1,
+                   A.compress()[0], MonomialIdeal.maximal(n),
+                   MonomialIdeal.zero(n), MonomialIdeal.unit(n)]
+        seen["mixed sum"] += len({*gA._degs, *B._degs}) > 1
+        exps = {e for u in A.gens for e in u}
+        seen["gradient, exponents 1 and 2+"] += 1 in exps and max(exps) >= 2
         # products of the cases with exponents near the bound overflow
         if max((e for u in A.gens + B.gens for e in u), default=0) < 2**30:
-            results += [A * B, A ** 2]
+            results += [A * B, A ** 2, A * gA, gA * B, gradient(A * B)]
+            seen["mixed product"] += not (A.is_zero or A.is_equigenerated)
         results += [A.colon_variable(i) for i in range(1, min(n, 4) + 1)]
         for i in sorted(A.support)[:4]:
             # the two parts of a vertex splitting at x_i
-            div = [divide_by_variable(u, i) for u in A.gens if u[i - 1]]
-            rest = [u for u in A.gens if not u[i - 1]]
+            div, rest = A._split(i)
+            assert len(div) + len(rest) == A.mu
             results += [MonomialIdeal._trusted(n, div, minimal=True),
                         MonomialIdeal._trusted(n, rest, minimal=True)]
         for J in results:
             _assert_rebuilds(J, queries[:15] if J.n == n else [])
             checked += 1
-    assert checked > 600
+        # containment reads the other ideal's carried degrees and masks
+        for X in results[:6]:
+            for Y in results:
+                if X.n == Y.n:
+                    assert X.contains_ideal(Y) == \
+                        all(X.contains(u) for u in Y.gens), (X, Y)
+                    checked += 1
+    assert checked > 4000
+    assert min(seen.values()) >= 20, seen
+
+
+def test_zero_variable_ideals():
+    Z, U = MonomialIdeal.zero(0), MonomialIdeal.unit(0)
+    assert Z.gens == () and U.gens == ((),)
+    assert MonomialIdeal.maximal(0) == Z
+    for J in (Z, U):
+        _assert_rebuilds(J, [()])
+        for K in (Z, U):
+            _assert_rebuilds(J + K, [()])
+            _assert_rebuilds(J * K, [()])
+            assert J.contains_ideal(K) == (J == U or K == Z)
+        assert gradient(J) == J and J ** 0 == U and J ** 3 == J
+    assert U * () == U and (Z * ()).is_zero
 
 
 def test_trusted_powers_and_overflow():
@@ -339,3 +368,17 @@ def test_trusted_powers_and_overflow():
     with pytest.raises(ExponentOverflowError):
         big ** 2
     assert (big * I(2, "x1")).gens == ((1, 1), (EXPONENT_BOUND, 0))
+
+
+def test_product_past_the_bound_only_in_its_largest_exponents():
+    # the largest exponents sum past the bound, but they sit in different
+    # variables, so every single product stays within it
+    A = MonomialIdeal(2, [(EXPONENT_BOUND - 1, 0), (0, 1)])
+    B = MonomialIdeal(2, [(1, 0), (0, EXPONENT_BOUND - 1)])
+    P = A * B
+    assert P == MonomialIdeal(2, [mono_mul(u, v) for u in A.gens for v in B.gens])
+    assert P.gens == ((1, 1), (EXPONENT_BOUND, 0), (0, EXPONENT_BOUND))
+    _assert_rebuilds(P, [(EXPONENT_BOUND, 1), (EXPONENT_BOUND - 1, 0)])
+    # one product past the bound still raises
+    with pytest.raises(ExponentOverflowError):
+        A * MonomialIdeal(2, [(2, 0), (0, EXPONENT_BOUND - 1)])

@@ -1,12 +1,14 @@
 import random
 from itertools import permutations
+from math import comb
 
 import pytest
 
 from monograd.caps import Caps
 from monograd.errors import DomainError
 from monograd.gradient import gradient
-from monograd.monomials import MonomialIdeal, veronese_type
+from monograd.monomials import (MonomialIdeal, divide_by_variable, mono_mul,
+                                variable, veronese_type)
 from monograd.structure import (UNDECIDED, _colon_masks, has_linear_quotients,
                                 is_componentwise_polymatroidal,
                                 is_polymatroidal, is_stable,
@@ -86,6 +88,47 @@ def test_vertex_splittable():
 def test_vertex_split_tree_witness():
     tree = vertex_split_tree(I(2, "x1^2", "x1*x2"))
     assert tree is not None and "split_variable" in tree
+
+
+def _replay_split_tree(J, tree):
+    """Replays a vertex splitting witness of J through the public
+    constructor; returns a description of the first fault, or None."""
+    if "base" in tree:
+        base = ("zero" if J.is_zero else "unit" if J.is_unit
+                else "principal" if J.mu == 1 else None)
+        return None if tree["base"] == base else f"base {tree['base']} at {J}"
+    i = tree["split_variable"]
+    if i not in J.support:
+        return f"x{i} outside the support of {J}"
+    div = [u for u in J.gens if u[i - 1]]
+    I1 = MonomialIdeal(J.n, [divide_by_variable(u, i) for u in div])
+    I2 = MonomialIdeal(J.n, [u for u in J.gens if not u[i - 1]])
+    xi = variable(J.n, i)
+    # x_i*G(I1) is the part of G(J) divisible by x_i and G(I2) the rest
+    if sorted(mono_mul(xi, u) for u in I1.gens) != sorted(div):
+        return f"x{i}*I1 and I2 do not partition G({J})"
+    if not I1.contains_ideal(I2):
+        return f"I1 does not contain I2 at x{i} in {J}"
+    return (_replay_split_tree(I1, tree["divisible_part"])
+            or _replay_split_tree(I2, tree["rest"]))
+
+
+def test_vertex_split_witnesses_replay():
+    J = I(5, "x1*x2", "x1*x4", "x2*x4", "x2*x5", "x3*x4")
+    tree = vertex_split_tree(J)
+    assert tree is not None and _replay_split_tree(J, tree) is None
+    rng = random.Random(1)
+    splittable = 0
+    for _ in range(3000):
+        n = rng.randint(3, 7)
+        d = rng.randint(1, 3)
+        J = random_ideal(n, d, d, rng.randint(1, comb(n, d)),
+                         squarefree=True, rng=rng)
+        tree = vertex_split_tree(J)
+        if tree is not None:
+            splittable += 1
+            assert _replay_split_tree(J, tree) is None
+    assert splittable > 2500
 
 
 def test_polymatroidal():
