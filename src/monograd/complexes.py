@@ -188,15 +188,7 @@ class SimplicialComplex:
 
     def homology_profile(self, within: Optional[int] = None) -> Dict[int, int]:
         """All nonzero reduced homology dimensions, by dimension s."""
-        faces = self.faces_by_cardinality(within)
-        out = {}
-        rank_above = 0
-        for c, rank in _boundary_ranks(faces, -1):
-            h = len(faces[c]) - rank - rank_above
-            if h:
-                out[c - 1] = h
-            rank_above = rank
-        return dict(reversed(out.items()))
+        return _profile(self.faces_by_cardinality(within))
 
     def top_nonzero_homology(self, within: Optional[int] = None,
                              stop_below: int = -1) -> Optional[int]:
@@ -211,6 +203,19 @@ class SimplicialComplex:
                 return c - 1
             rank_above = rank
         return None
+
+
+def _profile(faces: Dict[int, List[int]]) -> Dict[int, int]:
+    """Nonzero reduced homology dimensions, by dimension s, of the complex
+    whose faces by cardinality are given (each list in canonical order)."""
+    out = {}
+    rank_above = 0
+    for c, rank in _boundary_ranks(faces, -1):
+        h = len(faces[c]) - rank - rank_above
+        if h:
+            out[c - 1] = h
+        rank_above = rank
+    return dict(reversed(out.items()))
 
 
 def _boundary_columns(faces: Dict[int, List[int]], card: int,

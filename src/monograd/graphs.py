@@ -182,8 +182,12 @@ def gradient_power_closed_form(dec: QuadraticDecomposition, n: int,
     if k <= ell:
         return MonomialIdeal.maximal(n) ** (2 * k - ell)
     v, P, J = dec.v, dec.P, dec.J
-    xv = MonomialIdeal(n, (variable(n, v),))
-    nn = MonomialIdeal(n, [variable(n, i) for i in range(1, n + 1) if i != v])
+    # single variables are minimal sets, canonical in increasing index
+    xv = MonomialIdeal._trusted(n, {variable(n, v): (1, 1 << (v - 1))},
+                                minimal=True)
+    nn = MonomialIdeal._trusted(n, {variable(n, i): (1, 1 << (i - 1))
+                                    for i in range(1, n + 1) if i != v},
+                                minimal=True)
     if ell == 0:
         out = MonomialIdeal.zero(n)
         for r in range(k + 1):

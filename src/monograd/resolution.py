@@ -4,10 +4,22 @@ One walk over the lcm lattice of the minimal generators gives the graded
 Betti numbers, since only lattice degrees b carry any (Gasharov-Peeva-
 Welker, 1999): beta_{i,b}(S/I) = dim H~_{i-2}(K^b) for the upper Koszul
 complex K^b = {F subseteq supp b : x^(b-F) in I} (Miller-Sturmfels, Thm
-1.34).  By Alexander duality this is dim H~_{|supp b|-i-1} of the dual of
-K^b on supp b; for squarefree I that dual is Delta_W, W = supp b, and
-the formula is Hochster's.  An independent Koszul-strand oracle computes
-the same Tor dimensions, and polarization is a public utility and oracle.
+1.34).  Each element has two exact presentations of this homology:
+
+- the Alexander dual D of K^b on supp b, k = |supp b| vertices at most:
+  beta_{i,b} = dim H~_{k-i-1}(D).  Its minimal nonfaces N_1..N_m are the
+  sets {l : g_l = b_l > 0} of the generators g dividing x^b; for
+  squarefree I, D is Delta_W, W = supp b, and the formula is Hochster's.
+- the nerve Gamma_b = {S subseteq [m] : the union of the N_j, j in S, is
+  not supp b} of the facets supp b - N_j of the Alexander dual of D,
+  that is the sets of generators whose lcm is not x^b: beta_{i,b} =
+  dim H~_{i-2}(Gamma_b), by Alexander duality and the nerve theorem.
+
+The walk takes the nerve when D is not void and m is smaller than the
+number of vertices of D (supp b less the singleton nonfaces), and D
+otherwise; the bottom element b = 0 always takes D.  An independent
+Koszul-strand oracle computes the same Tor dimensions, and polarization
+is a public utility and oracle.
 """
 
 from __future__ import annotations
@@ -19,7 +31,7 @@ from operator import eq, le
 from typing import Dict, List, Optional, Tuple
 
 from .caps import Caps, default_caps
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex, _profile
 from .errors import DomainError, ResourceCapError
 from .exact_rank import sparse_rank
 from .gradient import gradient_chain
@@ -92,6 +104,60 @@ def _koszul_dual(I: MonomialIdeal, b) -> Tuple[int, SimplicialComplex]:
     return w, SimplicialComplex._from_masks(I.n, tight)
 
 
+def _nerve_faces(w: int, nonfaces, top: Optional[int] = None):
+    """Faces of Gamma = {S subseteq [m] : the union of the N_j, j in S, is
+    not w}, the nerve of the facets w - N_j of the Alexander dual of the
+    complex with minimal nonfaces N_1..N_m, grouped by cardinality up to
+    `top` (all if None), as masks over the positions in `nonfaces`.
+
+    The lists are in the canonical order of faces_by_cardinality, and
+    each face carries the union of its nonfaces to its extensions.  The
+    empty face is always listed, so w must not be 0.
+    """
+    out = {0: [0]}
+    frontier = [(0, 0)]  # (face, union of its nonfaces)
+    m = len(nonfaces)
+    card = 0
+    while frontier and card != top:
+        card += 1
+        frontier = [(f | 1 << j, v) for f, u in frontier
+                    for j in range(f.bit_length(), m)
+                    if (v := u | nonfaces[j]) != w]
+        if frontier:
+            out[card] = [f for f, _ in frontier]
+    return out
+
+
+def _element_betti(I: MonomialIdeal, b, most: Optional[int] = None):
+    """The Betti numbers beta_{i,b}(S/I) of a lattice element b, from the
+    smaller presentation of the dual D of K^b on w = supp b.
+
+    Without `most`, returns {i: beta_{i,b}} over the nonzero ones; with
+    it, the least i <= most with beta_{i,b} != 0, or None.  D has m
+    minimal nonfaces and k' vertices (the bits of w less its singleton
+    nonfaces); its nerve Gamma_b is used when D is not void and m < k'.
+    """
+    w, dual = _koszul_dual(I, b)
+    k = w.bit_count()
+    nonfaces = dual.nonface_masks
+    # a singleton nonface is a bit of w that is not a vertex of D
+    vertices = w & ~sum(N for N in nonfaces if not N & (N - 1))
+    if dual.void or len(nonfaces) >= vertices.bit_count():
+        # i = k - s - 1 for H~_s(D)
+        if most is None:
+            return {k - s - 1: h for s, h in
+                    dual.homology_profile(within=vertices).items()}
+        s = dual.top_nonzero_homology(within=vertices,
+                                      stop_below=k - most - 2)
+        return None if s is None else k - s - 1
+    # i = t + 2 for H~_t(Gamma_b); below its top cardinality `most`, the
+    # skeleton enumerated has the homology of Gamma_b
+    profile = _profile(_nerve_faces(w, nonfaces, most))
+    if most is None:
+        return {t + 2: h for t, h in profile.items()}
+    return min((t + 2 for t in profile if t + 2 <= most), default=None)
+
+
 def _lattice_betti(I: MonomialIdeal, caps: Caps,
                    degree: Optional[int] = None) -> Dict[Tuple[int, int], int]:
     """Quotient-convention Betti numbers of S/I, (0, 0) included, from the
@@ -100,10 +166,8 @@ def _lattice_betti(I: MonomialIdeal, caps: Caps,
     for b in _lcm_lattice(I, caps):
         j = sum(b)
         if degree is None or j == degree:
-            w, dual = _koszul_dual(I, b)
-            for s, h in dual.homology_profile(within=w).items():
-                key = (w.bit_count() - s - 1, j)
-                entries[key] = entries.get(key, 0) + h
+            for i, h in _element_betti(I, b).items():
+                entries[i, j] = entries.get((i, j), 0) + h
     return entries
 
 
@@ -118,20 +182,19 @@ def hochster_betti(I: MonomialIdeal, i: int, j: int) -> int:
 
 
 def _hochster_regularity(I: MonomialIdeal, caps: Caps) -> int:
-    """reg(I) = max over the lattice of j - i + 1 = j - |w| + s + 2, for
-    nonzero H~_s of the dual restricted to w."""
-    best = 0  # skips the bottom, whose H~_{-1} is the free part of S/I
-    # larger degrees first: a complex on |w| > 0 vertices has s <= |w| - 2,
-    # so once j <= best no element can raise best
+    """reg(I) = max over the lattice of j - i + 1 for nonzero
+    beta_{i,j}(S/I), i >= 1."""
+    best = 0  # skips the bottom, whose beta_{0,0} is the free part of S/I
+    # larger degrees first: i >= 1 away from the bottom, so once j <= best
+    # no element can raise best
     for j, b in sorted(((sum(b), b) for b in _lcm_lattice(I, caps)),
                        reverse=True):
         if j <= best:
             break
-        w, dual = _koszul_dual(I, b)
-        shift = j - w.bit_count() + 2
-        s = dual.top_nonzero_homology(within=w, stop_below=best - shift)
-        if s is not None and s + shift > best:
-            best = s + shift
+        # only i <= j - best raises best
+        i = _element_betti(I, b, most=j - best)
+        if i is not None:
+            best = j - i + 1
     if best == 0 and not I.is_zero:
         # proper nonzero ideals always exhibit homology at the lcm of a
         # single generator, so this branch is unreachable

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from monograd.caps import Caps
-from monograd.complexes import SimplicialComplex
+from monograd.complexes import SimplicialComplex, _profile
 from monograd.errors import DomainError, ResourceCapError
 from monograd.gradient import gradient, iterated_gradient
 from monograd.graphs import family_overlap_run, family_reg_gap
@@ -87,14 +87,19 @@ def test_lattice_engine_matches_oracles_on_non_squarefree_sweep():
         assert betti_table(polarize(J).ideal).entries == t.entries, J
 
 
-def test_mask_built_dual_matches_public_constructor():
+def _small_sweep():
+    """The non-squarefree sweep and 35 seeded squarefree ideals on 1-7
+    variables."""
     rng = random.Random(1999)
-    ideals = _non_squarefree_sweep() + [
+    return _non_squarefree_sweep() + [
         random_ideal(n, 1, n, rng.randint(1, min(8, 2 ** n - 1)),
                      squarefree=True, rng=rng)
         for n in (1, 2, 3, 4, 5, 6, 7) for _ in range(5)]
+
+
+def test_mask_built_dual_matches_public_constructor():
     voids = 0
-    for J in ideals:
+    for J in _small_sweep():
         for b in resolution._lcm_lattice(J, Caps()):
             w, dual = resolution._koszul_dual(J, b)
             assert w == sum(1 << k for k, c in enumerate(b) if c)
@@ -108,6 +113,132 @@ def test_mask_built_dual_matches_public_constructor():
             assert dual == public, (J, b)
             voids += dual.void
     assert voids > 0  # some generator lies below b on all of supp b
+
+
+def _homology_shaped(rng, n, mu):
+    """mu distinct squarefree monomials of degrees 2, 3, 4, 2, ... in turn,
+    the shape of the benchmark's Betti tables."""
+    gens = set()
+    while len(gens) < mu:
+        support = rng.sample(range(n), 2 + len(gens) % 3)
+        gens.add(tuple(int(v in support) for v in range(n)))
+    return MonomialIdeal(n, gens)
+
+
+def _element_sweep():
+    """The small sweep and 20 homology-shaped ideals on 8-10 variables,
+    with their gradients."""
+    rng = random.Random(1999)
+    ideals = _small_sweep() + [_homology_shaped(rng, 8 + t % 3, 3 + t % 8)
+                               for t in range(20)]
+    return ideals + [gradient(J) for J in ideals]
+
+
+def _by_dual(J, b):
+    """{i: beta_{i,b}(S/I)} from the dual on all of supp b."""
+    w, dual = resolution._koszul_dual(J, b)
+    return {w.bit_count() - s - 1: h
+            for s, h in dual.homology_profile(within=w).items()}
+
+
+def _by_nerve(J, b):
+    """{i: beta_{i,b}(S/I)} from the nerve Gamma_b of the dual's minimal
+    nonfaces, H~_{i-2}(Gamma_b)."""
+    w, dual = resolution._koszul_dual(J, b)
+    faces = resolution._nerve_faces(w, dual.nonface_masks)
+    return {t + 2: h for t, h in _profile(faces).items()}
+
+
+@pytest.fixture
+def nerve_spy(monkeypatch):
+    """Records the union w of every nerve the lattice walk enumerates."""
+    calls = []
+    nerve_faces = resolution._nerve_faces
+
+    def spy(w, nonfaces, top=None):
+        calls.append(w)
+        return nerve_faces(w, nonfaces, top)
+
+    monkeypatch.setattr(resolution, "_nerve_faces", spy)
+    return calls
+
+
+def test_nerve_and_dual_presentations_agree(nerve_spy):
+    nerves = duals = 0
+    for J in _element_sweep():
+        if J.is_unit:
+            continue
+        for b in resolution._lcm_lattice(J, Caps()):
+            w, dual = resolution._koszul_dual(J, b)
+            expected = _by_dual(J, b)
+            if b != (0,) * J.n and not dual.void:
+                assert _by_nerve(J, b) == expected, (J, b)
+            singles = [N for N in dual.nonface_masks if N.bit_count() == 1]
+            vertices = w.bit_count() - len(singles)
+            nerve = not dual.void and len(dual.nonface_masks) < vertices
+            nerve_spy.clear()
+            assert resolution._element_betti(J, b) == expected, (J, b)
+            assert nerve_spy == ([w] if nerve else []), (J, b)
+            nerves += nerve
+            duals += not nerve
+    assert nerves > 1000 and duals > 2500  # 1030 and 2539 seen
+
+
+def test_element_betti_edge_cases(nerve_spy):
+    # (ideal, element, expected profile, the nerve is chosen)
+    cases = [
+        # the bottom: beta_{0,0} = 1, and its nerve would be void
+        (I(3, "x1*x2", "x3^2"), (0, 0, 0), {0: 1}, False),
+        # a void dual: x1*x2 divides x^b and meets no exponent of b
+        (I(2, "x1*x2", "x1^2", "x2^2"), (2, 2), {}, False),
+        # one generator of degree 4 on 3 variables: the boundary of a
+        # 2-simplex against the nerve {emptyset}
+        (I(3, "x1^2*x2*x3"), (2, 1, 1), {1: 1}, True),
+        # m = 1 and N = w = {1}: the dual {emptyset} has no vertices
+        (I(2, "x1^3", "x2"), (3, 0), {1: 1}, False),
+        # every nonface a singleton: the dual is {emptyset}, the nerve
+        # the boundary of a 2-simplex
+        (I(3, "x1^2", "x2^3", "x3"), (2, 3, 1), {3: 1}, False),
+    ]
+    for J, b, expected, nerve in cases:
+        assert b in resolution._lcm_lattice(J, Caps())
+        nerve_spy.clear()
+        assert resolution._element_betti(J, b) == expected, (J, b)
+        assert bool(nerve_spy) == nerve, (J, b)
+        assert _by_dual(J, b) == expected, (J, b)
+        if any(b):
+            w, dual = resolution._koszul_dual(J, b)
+            assert dual.void or _by_nerve(J, b) == expected, (J, b)
+    w, dual = resolution._koszul_dual(*cases[1][:2])
+    assert dual.void and dual.nonface_masks == ()
+    # the nerve of an empty nonface list is {emptyset}, so a void dual
+    # must not take it
+    assert _profile(resolution._nerve_faces(w, ())) == {-1: 1}
+
+
+def test_truncated_element_betti_reads_the_full_profile():
+    # the non-squarefree sweep meets the Koszul table in its own test
+    koszul_checked = set(_non_squarefree_sweep())
+    for J in _element_sweep():
+        if J.is_unit:
+            continue
+        for b in resolution._lcm_lattice(J, Caps()):
+            full = resolution._element_betti(J, b)
+            k = sum(map(bool, b))
+            # most = k + 1 down to 0 is every stop from -3 up to k - 2,
+            # the top dimension a dual on k vertices can have
+            for most in range(k + 2):
+                low = [i for i in full if i <= most]
+                assert resolution._element_betti(J, b, most) == \
+                    (min(low) if low else None), (J, b, most)
+        if J.is_zero:
+            continue
+        r = regularity(J, engine="hochster")
+        assert r == betti_table(J, engine="hochster").regularity(), J
+        if J.n <= 5 and J not in koszul_checked:
+            assert r == regularity(J, engine="koszul"), J
+            koszul_checked.add(J)
+    assert len(koszul_checked) > 90  # 96 distinct ideals seen
 
 
 def test_power_of_maximal_ideal_betti_table():
