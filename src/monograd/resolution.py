@@ -20,11 +20,17 @@ number of vertices of D (supp b less the singleton nonfaces), and D
 otherwise; the bottom element b = 0 always takes D.  An independent
 Koszul-strand oracle computes the same Tor dimensions, and polarization
 is a public utility and oracle.
+
+Engine "auto" walks the lattice only when no certificate turns up: a
+degree-nondecreasing linear-quotients order u_1..u_m, with r_k variables
+generating (u_1..u_{k-1}) : u_k, gives beta_{i,i+j}(I) = the sum of
+C(r_k, i) over the u_k of degree j (Herzog-Takayama 2002) and reg = omega.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import compress
 from operator import eq, le
@@ -37,7 +43,7 @@ from .exact_rank import sparse_rank
 from .gradient import gradient_chain
 from .monomials import (MonomialIdeal, _support_mask, mono_mul,
                         monomials_of_degree, variable)
-from .structure import UNDECIDED, linear_quotients_order
+from .structure import UNDECIDED, QuotientOrder, linear_quotients_order
 
 
 # ---------------------------------------------------------------------------
@@ -48,7 +54,9 @@ class BettiTable:
     """Graded Betti numbers, stored in the quotient convention.
 
     entries[(i, j)] = beta_{i,j}(S/I) for i >= 1; the ideal convention is
-    the shift beta_{i,j}(I) = beta_{i+1,j}(S/I).
+    the shift beta_{i,j}(I) = beta_{i+1,j}(S/I).  engine names what
+    computed them: "linear-quotients" (read off a certificate), "hochster"
+    (the lattice walk) or "koszul".
     """
 
     entries: Dict[Tuple[int, int], int]
@@ -325,10 +333,21 @@ def koszul_betti_table(I: MonomialIdeal, max_j: Optional[int] = None,
 # ---------------------------------------------------------------------------
 # engine selection
 
+def _certificate(I: MonomialIdeal, caps: Caps) -> Optional[QuotientOrder]:
+    """A degree-nondecreasing linear-quotients order found within mu * n
+    search nodes, or None.  Past the lq-generators cap the budget is mu
+    nodes: one descent, which may skip candidates but not backtrack."""
+    budget = I.mu * I.n if I.mu <= caps.lq_generators else I.mu
+    order = linear_quotients_order(I, caps=caps, node_budget=budget)
+    return None if order is UNDECIDED else order
+
+
 def betti_table(I: MonomialIdeal, engine: str = "auto",
                 caps: Optional[Caps] = None) -> BettiTable:
     """Graded Betti table of S/I.  Engine "hochster" is the lcm-lattice
-    walk; "auto" runs it and falls back to the Koszul oracle past a cap."""
+    walk; "auto" first looks for a linear-quotients certificate (see
+    regularity) and reads the table off it, then walks the lattice, then
+    falls back to the Koszul oracle past a cap."""
     if I.is_zero or I.is_unit:
         raise DomainError("Betti table needs a proper nonzero ideal")
     caps = caps or default_caps()
@@ -336,6 +355,12 @@ def betti_table(I: MonomialIdeal, engine: str = "auto",
         return koszul_betti_table(I, caps=caps)
     if engine not in ("auto", "hochster"):
         raise DomainError(f"unknown Betti engine: {engine}")
+    if engine == "auto" and (q := _certificate(I, caps)) is not None:
+        entries = Counter()  # beta_{i+1,i+j}(S/I) += C(r_k, i)
+        for u, r in zip(q.order, q.colon_sizes):
+            for i in range(r + 1):
+                entries[i + 1, i + sum(u)] += math.comb(r, i)
+        return BettiTable(dict(entries), engine="linear-quotients")
     try:
         entries = _lattice_betti(I, caps)
     except ResourceCapError:
@@ -350,12 +375,13 @@ def regularity(I: MonomialIdeal, engine: str = "auto",
                caps: Optional[Caps] = None) -> int:
     """Castelnuovo-Mumford regularity in the ideal convention.
 
-    Engine "auto" first looks for a linear-quotients order within a budget
-    of mu * n search nodes (a witness gives reg = omega), then walks the
-    lcm lattice as engine "hochster" does, then, past a cap, uses the
-    Koszul oracle.  Deciding linear quotients is NP-hard; a witness
-    usually turns up within about mu nodes, and when the budget runs out
-    the exact engines answer instead.
+    Engine "auto" first looks for a degree-nondecreasing linear-quotients
+    order within a budget of mu * n search nodes, mu nodes past the
+    lq-generators cap (a witness gives reg = omega), then walks the lcm
+    lattice as engine "hochster" does, then, past a cap, uses the Koszul
+    oracle.  Deciding linear quotients is NP-hard; a witness usually
+    turns up within about mu nodes, and when the budget runs out the
+    exact engines answer instead.
     """
     if I.is_zero:
         raise DomainError("regularity undefined for the zero ideal")
@@ -373,11 +399,8 @@ def regularity(I: MonomialIdeal, engine: str = "auto",
     if engine != "auto":
         raise DomainError(f"unknown regularity engine: {engine}")
 
-    if I.mu <= caps.lq_generators:
-        order = linear_quotients_order(I, caps=caps,
-                                       node_budget=I.mu * I.n)
-        if order is not None and order is not UNDECIDED:
-            return I.omega
+    if _certificate(I, caps) is not None:
+        return I.omega
     try:
         return _hochster_regularity(I, caps)
     except ResourceCapError:

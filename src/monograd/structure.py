@@ -5,10 +5,11 @@ and (strong) stability.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import or_
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 from .caps import Caps, default_caps
 from .errors import DomainError, ResourceCapError
@@ -40,7 +41,9 @@ UNDECIDED = _Undecided()
 
 @dataclass(frozen=True)
 class QuotientOrder:
-    order: Tuple[tuple, ...]  # permutation of the generators
+    order: Tuple[tuple, ...]  # permutation of the generators, by degree
+    # r_k, the number of variables generating (u_1..u_{k-1}) : u_k
+    colon_sizes: Tuple[int, ...]
 
 
 def _colon_masks(gens):
@@ -81,67 +84,71 @@ def linear_quotients_order(
         I: MonomialIdeal, caps: Optional[Caps] = None,
         node_budget: Optional[int] = None,
 ) -> Union[QuotientOrder, None, _Undecided]:
-    """Search for an order of G(I) with variable-generated colon ideals.
+    """Search for a degree-nondecreasing order of G(I) with
+    variable-generated colon ideals.
 
-    Backtracking over prefixes; admissibility of the next generator depends
-    only on the prefix as a set, so dead prefixes are memoized.  Returns a
-    witness order, None when the search space is exhausted, or UNDECIDED
-    when a node budget is given and runs out.
+    An ideal with linear quotients has them in such an order (Jahan-Zheng,
+    JCTA 117, 2010), so each node tries only the remaining generators of
+    least degree.  Backtracking over prefixes, the stored order first;
+    admissibility of the next generator depends only on the prefix as a
+    set, so dead prefixes are memoized.  Returns a witness order, None
+    when the search space is exhausted, or UNDECIDED when a node budget is
+    given and runs out.  The lq-generators cap bounds only the search
+    without a budget.
     """
     if I.is_zero or I.is_unit:
         raise DomainError("linear-quotients search needs a proper nonzero ideal")
     caps = caps or default_caps()
     m = I.mu
-    if m > caps.lq_generators:
+    if node_budget is None and m > caps.lq_generators:
         raise ResourceCapError("lq-generators", caps.lq_generators, m)
     if m == 1:
-        return QuotientOrder((I.gens[0],))
+        return QuotientOrder((I.gens[0],), (0,))
 
-    gens = I.gens
+    gens, degs = I.gens, I._degs
     cover, step = _colon_masks(gens)
     full = (1 << m) - 1
     dead = set()
-    nodes = 0
-    budget_hit = False
 
-    def admissible(prefix_mask: int, i: int) -> bool:
-        # every colon u_j : u_i with j in the prefix must be divisible by
-        # a variable that is itself such a colon
-        covered = 0
+    def colon_size(prefix_mask: int, i: int) -> Optional[int]:
+        # the variables that are colons u_j : u_i, j in the prefix, generate
+        # (prefix) : u_i iff they divide every such colon
+        covered = r = 0
         for s, c in zip(step[i], cover[i]):
             if s & prefix_mask:
                 covered |= c
-        return not prefix_mask & ~covered
+                r += 1
+        return None if prefix_mask & ~covered else r
 
-    def dfs(prefix_mask: int, order: List[int]) -> Optional[List[int]]:
-        nonlocal nodes, budget_hit
-        if prefix_mask == full:
-            return order
-        if prefix_mask in dead:
-            return None
-        nodes += 1
-        if node_budget is not None and nodes > node_budget:
-            budget_hit = True
-            return None
-        for i in range(m):
-            if prefix_mask >> i & 1:
-                continue
-            if not admissible(prefix_mask, i):
-                continue
-            res = dfs(prefix_mask | (1 << i), order + [i])
-            if res is not None:
-                return res
-            if budget_hit:
+    # depth-first, iteratively: path holds (i, r_i) of the prefix, frames
+    # the candidates [i, end) left at each open node
+    prefix, path, frames, nodes, i = 0, [], [], 0, None
+    while True:
+        if i is None:  # a new node
+            nodes += 1
+            if node_budget is not None and nodes > node_budget:
+                return UNDECIDED
+            # G(I) is stored by degree: the least degree left starts at
+            # the lowest generator not in the prefix
+            i = ((prefix + 1) & ~prefix).bit_length() - 1
+            end = bisect_right(degs, degs[i])
+        while i < end and (prefix >> i & 1 or prefix | 1 << i in dead
+                           or (r := colon_size(prefix, i)) is None):
+            i += 1
+        if i == end:
+            dead.add(prefix)
+            if not path:
                 return None
-        dead.add(prefix_mask)
-        return None
-
-    result = dfs(0, [])
-    if result is not None:
-        return QuotientOrder(tuple(gens[i] for i in result))
-    if budget_hit:
-        return UNDECIDED
-    return None
+            prefix ^= 1 << path.pop()[0]
+            i, end = frames.pop()
+        else:
+            frames.append((i + 1, end))
+            path.append((i, r))
+            prefix |= 1 << i
+            if prefix == full:
+                return QuotientOrder(tuple(gens[j] for j, _ in path),
+                                     tuple(r for _, r in path))
+            i = None
 
 
 def has_linear_quotients(I: MonomialIdeal, caps: Optional[Caps] = None) -> bool:

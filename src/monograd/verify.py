@@ -180,17 +180,20 @@ def connected_graphs(n: int):
 
 def two_linear_edge_ideals(n_max: int = 5):
     """Distinct compressed edge ideals on <= n_max vertices whose
-    regularity is exactly 2, together with their decompositions."""
+    regularity is exactly 2, in order of first occurrence."""
     seen = set()
     slots = list(combinations(range(1, n_max + 1), 2))
     for mask in range(1, 1 << len(slots)):
         edges = [slots[i] for i in range(len(slots)) if mask >> i & 1]
-        I = edge_ideal(SimpleGraph(n_max, edges))
-        J, _ = I.compress()
-        key = (J.n, J.gens)
+        # compress the graph before building its ideal: renumber the
+        # vertices in use from 1 in order, as MonomialIdeal.compress does
+        used = sorted({v for e in edges for v in e})
+        rank = {v: k for k, v in enumerate(used, 1)}
+        key = (len(used), tuple((rank[a], rank[b]) for a, b in edges))
         if key in seen:
             continue
         seen.add(key)
+        J = edge_ideal(SimpleGraph(*key))
         if regularity(J) == 2:
             yield J
 

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ import pytest
 from monograd import cli
 from monograd.cli import run_cli
 from monograd.errors import DomainError
+from monograd.gradient import gradient
 from monograd.ioformats import (ideal_to_json, parse_generators,
                                 parse_graph, parse_ideal,
                                 parse_monomial_string, serialize_graph,
@@ -291,3 +293,52 @@ def test_python_dash_m_runs_the_cli(ideal_file, tmp_path):
     assert bad.returncode == 2 and bad.stdout == ""
     err = bad.stderr.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("n, d, total", [(8, 3, 7423), (7, 4, 7937)])
+def test_cli_powers_of_the_maximal_ideal_match_eliahou_kervaire(
+        ideal_file, capsys, n, d, total):
+    # m^d is stable with mu = C(n+d-1, d) past the lq-generators cap; its
+    # stored order is a linear-quotients order, and Eliahou-Kervaire gives
+    # beta_{i,d+i}(m^d) = C(n+d-1, d+i) C(d+i-1, i)
+    f = ideal_file(serialize_ideal(MonomialIdeal.maximal(n) ** d))
+    assert run_cli(["betti", f, "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["engine"] == "linear-quotients"
+    assert doc["entries"] == [[i, d + i, comb(n + d - 1, d + i)
+                               * comb(d + i - 1, i)] for i in range(n)]
+    assert sum(b for _, _, b in doc["entries"]) == total
+    assert (doc["regularity"], doc["projective_dimension"]) == (d, n - 1)
+    assert run_cli(["reg", f, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"regularity": d}
+
+
+def test_cli_betti_json_is_invariant_under_relabeling(ideal_file, capsys):
+    # the whole document, engine included, must not depend on the names
+    # of the variables: the certificate search starts from the stored
+    # order, which a relabeling changes
+    rng = random.Random(4242)
+    engines = []
+    for t in range(60):
+        if t % 3 == 2:
+            n = rng.randint(3, 5)
+            J = random_ideal(n, 2, 3, rng.randint(3, 6), rng=rng)
+        else:
+            n = rng.randint(5, 8)
+            J = random_ideal(n, 2, 4, rng.randint(3, 8), squarefree=True,
+                             rng=rng)
+            if t % 3 == 1:
+                J = gradient(J)
+        if J.is_unit:
+            continue
+        outs = set()
+        for k in range(4):
+            perm = rng.sample(range(n), n) if k else list(range(n))
+            f = ideal_file({"n": n, "gens": [[u[p] for p in perm]
+                                             for u in J.gens]})
+            assert run_cli(["betti", f, "--json"]) == 0
+            outs.add(capsys.readouterr().out)
+        assert len(outs) == 1, (J, outs)
+        engines.append(json.loads(outs.pop())["engine"])
+    assert engines.count("linear-quotients") > 15
+    assert engines.count("hochster") > 15

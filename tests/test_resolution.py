@@ -7,7 +7,7 @@ from monograd.complexes import SimplicialComplex, _profile
 from monograd.errors import DomainError, ResourceCapError
 from monograd.gradient import gradient, iterated_gradient
 from monograd.graphs import family_overlap_run, family_reg_gap
-from monograd.monomials import MonomialIdeal
+from monograd.monomials import MonomialIdeal, variable, veronese_type
 import monograd.resolution as resolution
 from monograd.resolution import (betti_table,
                                  has_differential_linear_resolution,
@@ -15,7 +15,8 @@ from monograd.resolution import (betti_table,
                                  koszul_betti, koszul_betti_table, polarize,
                                  regularity)
 from monograd.structure import UNDECIDED, linear_quotients_order
-from monograd.verify import cycle_certificate, random_ideal
+from monograd.verify import (cycle_certificate, random_ideal,
+                             random_stable_ideal, random_veronese_type)
 
 
 def I(n, *strs):
@@ -404,3 +405,55 @@ def test_auto_regularity_agrees_with_exact_engines(lq_spy):
     # some random ideals exhaust the budget, others have no order at all
     assert results.count(UNDECIDED) > 0 and results.count(None) > 0
     assert sum(r not in (None, UNDECIDED) for r in results) > 20
+
+
+# ---------------------------------------------------------------------------
+# the linear-quotients certificate
+
+def _certificate_sweep():
+    """Seeded strongly stable, stable, Veronese-type, transversal
+    polymatroidal, squarefree Veronese and random ideals, and the
+    gradients of all of them."""
+    rng = random.Random(2002)
+    pool = []
+    for t in range(12):
+        pool.append(random_stable_ideal(rng, strongly=True))
+        pool.append(random_stable_ideal(rng, strongly=False))
+        pool.append(random_veronese_type(rng))
+        # a product of ideals generated by variables is polymatroidal
+        n = rng.randint(3, 6)
+        factors = [MonomialIdeal(n, [variable(n, i) for i in rng.sample(
+            range(1, n + 1), rng.randint(1, n))]) for _ in range(3)]
+        pool.append(factors[0] * factors[1] * factors[2])
+        n = rng.randint(4, 7)
+        pool.append(veronese_type(n, (1,) * n, rng.randint(2, n - 1)))
+        n = rng.randint(3, 6)
+        pool.append(random_ideal(n, 1, 3, rng.randint(2, 6),
+                                 squarefree=t % 2 == 0, rng=rng))
+    pool += [gradient(J) for J in pool]
+    return [J for J in pool if not J.is_zero and not J.is_unit]
+
+
+def test_certificate_tables_match_lattice_walk_and_koszul():
+    certified = koszul_checked = 0
+    for J in _certificate_sweep():
+        t = betti_table(J)
+        assert t.entries == betti_table(J, engine="hochster").entries, J
+        assert regularity(J) == t.regularity(), J
+        if J.n <= 5:
+            assert t.entries == koszul_betti_table(J).entries, J
+            koszul_checked += 1
+        certified += t.engine == "linear-quotients"
+    assert certified > 100 and koszul_checked > 50
+
+
+def test_certificate_budget_past_the_generator_cap(lq_spy):
+    # mu = 120 > 64: the budget is mu nodes, and the stored order is a
+    # witness
+    J = MonomialIdeal.maximal(8) ** 3
+    assert betti_table(J).engine == "linear-quotients"
+    assert regularity(J) == 3
+    K = I(4, "x1*x2", "x3*x4")
+    assert betti_table(K, caps=Caps(lq_generators=1)).engine == "hochster"
+    assert [b for _, b, _ in lq_spy] == [120, 120, 2]
+    assert lq_spy[2][2] in (None, UNDECIDED)

@@ -5,10 +5,10 @@ from math import comb
 import pytest
 
 from monograd.caps import Caps
-from monograd.errors import DomainError
+from monograd.errors import DomainError, ResourceCapError
 from monograd.gradient import gradient
 from monograd.monomials import (MonomialIdeal, divide_by_variable, mono_mul,
-                                variable, veronese_type)
+                                supp, variable, veronese_type)
 from monograd.structure import (UNDECIDED, _colon_masks, has_linear_quotients,
                                 is_componentwise_polymatroidal,
                                 is_polymatroidal, is_stable,
@@ -237,3 +237,57 @@ def test_colon_masks_match_pairwise_oracle():
                          rng=rng)
         assert _colon_masks(J.gens) == _colon_masks_oracle(J.gens), J
 
+
+
+def test_degree_ordered_search_decides_linear_quotients():
+    # Jahan-Zheng: an ideal with linear quotients has them in a
+    # degree-nondecreasing order, so the search, which builds only those,
+    # finds one exactly when some permutation of G(J) passes the colon
+    # check; every ideal here mixes degrees
+    rng = random.Random(2010)
+    found = exhausted = 0
+    while found + exhausted < 300:
+        n = rng.randint(3, 5)
+        J = random_ideal(n, rng.randint(1, 2), 4, rng.randint(3, 6), rng=rng)
+        if J.is_equigenerated:
+            continue
+        oracle = any(
+            all(_is_variable_colon(p[:k], p[k], n) for k in range(1, len(p)))
+            for p in permutations(J.gens))
+        order = linear_quotients_order(J)
+        assert (order is not None) == oracle, J
+        if order is not None:
+            gens = list(order.order)
+            assert sorted(gens) == sorted(J.gens)
+            assert [sum(u) for u in gens] == sorted(sum(u) for u in gens)
+            # r_k is the number of variables generating the colon ideal
+            for k, (u, r) in enumerate(zip(gens, order.colon_sizes)):
+                colon = MonomialIdeal(n, [tuple(max(p - e, 0)
+                                                for p, e in zip(v, u))
+                                          for v in gens[:k]])
+                assert all(sum(g) == 1 for g in colon.gens), (J, gens)
+                assert r == colon.mu, (J, gens)
+        found += oracle
+        exhausted += not oracle
+    assert found > 50 and exhausted > 50
+
+
+def test_budgeted_search_ignores_the_generator_cap():
+    # the cap bounds only the exhaustive search; the stored order of a
+    # power of the maximal ideal is a witness on its own
+    J = MonomialIdeal.maximal(4) ** 3
+    caps = Caps(lq_generators=4)
+    with pytest.raises(ResourceCapError):
+        linear_quotients_order(J, caps=caps)
+    order = linear_quotients_order(J, caps=caps, node_budget=J.mu)
+    assert order.order == J.gens
+    assert order.colon_sizes == tuple(max(supp(u)) - 1 for u in J.gens)
+
+
+def test_search_tries_only_the_least_degree_left():
+    # the two quadrics exclude each other, so the ideal has no order;
+    # after x1*x2 every cubic x1*x3*x_k is admissible, and a search that
+    # tried them would need far more than three nodes to find that out
+    J = I(10, "x1*x2", "x3*x4", *(f"x1*x3*x{k}" for k in range(5, 11)))
+    assert J.mu == 8 and not J.is_equigenerated
+    assert linear_quotients_order(J, node_budget=3) is None
