@@ -7,10 +7,9 @@ Format: comma-separated key=value pairs, e.g.
 Recognized keys: polarized-vars, component-enum, lq-generators, colex-enum,
 nonface-unions.  polarized-vars bounds only polarize(); nonface-unions
 bounds the lcm lattice that the Betti and regularity walk visits, its
-bottom element included.  lq-generators bounds the generators of an
-exhaustive linear-quotients search, and sets the budget of the one that
-the auto Betti and regularity engines run: mu * n nodes up to the cap,
-mu nodes past it.  component-enum bounds the monomials of a degree
+bottom element included.  lq-generators bounds the generators of any
+linear-quotients search; past it the auto Betti and regularity engines
+skip the certificate.  component-enum bounds the monomials of a degree
 component, the Koszul strand bases, and the (d+1)*2d exponents of the
 overlapping-windows family (`family thm23 --d`).
 """

@@ -335,10 +335,10 @@ def koszul_betti_table(I: MonomialIdeal, max_j: Optional[int] = None,
 
 def _certificate(I: MonomialIdeal, caps: Caps) -> Optional[QuotientOrder]:
     """A degree-nondecreasing linear-quotients order found within mu * n
-    search nodes, or None.  Past the lq-generators cap the budget is mu
-    nodes: one descent, which may skip candidates but not backtrack."""
-    budget = I.mu * I.n if I.mu <= caps.lq_generators else I.mu
-    order = linear_quotients_order(I, caps=caps, node_budget=budget)
+    search nodes, or None; no search runs past the lq-generators cap."""
+    if I.mu > caps.lq_generators:
+        return None
+    order = linear_quotients_order(I, caps=caps, node_budget=I.mu * I.n)
     return None if order is UNDECIDED else order
 
 
@@ -376,12 +376,12 @@ def regularity(I: MonomialIdeal, engine: str = "auto",
     """Castelnuovo-Mumford regularity in the ideal convention.
 
     Engine "auto" first looks for a degree-nondecreasing linear-quotients
-    order within a budget of mu * n search nodes, mu nodes past the
-    lq-generators cap (a witness gives reg = omega), then walks the lcm
-    lattice as engine "hochster" does, then, past a cap, uses the Koszul
-    oracle.  Deciding linear quotients is NP-hard; a witness usually
-    turns up within about mu nodes, and when the budget runs out the
-    exact engines answer instead.
+    order within a budget of mu * n search nodes, up to the lq-generators
+    cap (a witness gives reg = omega), then walks the lcm lattice as
+    engine "hochster" does, then, past a cap, uses the Koszul oracle.
+    Deciding linear quotients is NP-hard; a witness usually turns up
+    within about mu nodes, and when the budget runs out the exact engines
+    answer instead.
     """
     if I.is_zero:
         raise DomainError("regularity undefined for the zero ideal")

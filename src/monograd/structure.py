@@ -9,7 +9,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import or_
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from .caps import Caps, default_caps
 from .errors import DomainError, ResourceCapError
@@ -93,14 +93,13 @@ def linear_quotients_order(
     admissibility of the next generator depends only on the prefix as a
     set, so dead prefixes are memoized.  Returns a witness order, None
     when the search space is exhausted, or UNDECIDED when a node budget is
-    given and runs out.  The lq-generators cap bounds only the search
-    without a budget.
+    given and runs out.
     """
     if I.is_zero or I.is_unit:
         raise DomainError("linear-quotients search needs a proper nonzero ideal")
     caps = caps or default_caps()
     m = I.mu
-    if node_budget is None and m > caps.lq_generators:
+    if m > caps.lq_generators:
         raise ResourceCapError("lq-generators", caps.lq_generators, m)
     if m == 1:
         return QuotientOrder((I.gens[0],), (0,))
@@ -109,6 +108,8 @@ def linear_quotients_order(
     cover, step = _colon_masks(gens)
     full = (1 << m) - 1
     dead = set()
+    nodes = 0
+    budget_hit = False
 
     def colon_size(prefix_mask: int, i: int) -> Optional[int]:
         # the variables that are colons u_j : u_i, j in the prefix, generate
@@ -120,35 +121,38 @@ def linear_quotients_order(
                 r += 1
         return None if prefix_mask & ~covered else r
 
-    # depth-first, iteratively: path holds (i, r_i) of the prefix, frames
-    # the candidates [i, end) left at each open node
-    prefix, path, frames, nodes, i = 0, [], [], 0, None
-    while True:
-        if i is None:  # a new node
-            nodes += 1
-            if node_budget is not None and nodes > node_budget:
-                return UNDECIDED
-            # G(I) is stored by degree: the least degree left starts at
-            # the lowest generator not in the prefix
-            i = ((prefix + 1) & ~prefix).bit_length() - 1
-            end = bisect_right(degs, degs[i])
-        while i < end and (prefix >> i & 1 or prefix | 1 << i in dead
-                           or (r := colon_size(prefix, i)) is None):
-            i += 1
-        if i == end:
-            dead.add(prefix)
-            if not path:
+    def dfs(prefix_mask: int, path: List[tuple]) -> Optional[List[tuple]]:
+        nonlocal nodes, budget_hit
+        if prefix_mask == full:
+            return path
+        if prefix_mask in dead:
+            return None
+        nodes += 1
+        if node_budget is not None and nodes > node_budget:
+            budget_hit = True
+            return None
+        # G(I) is stored by degree: the least degree left starts at the
+        # lowest generator not in the prefix
+        low = ((prefix_mask + 1) & ~prefix_mask).bit_length() - 1
+        for i in range(low, bisect_right(degs, degs[low])):
+            if (prefix_mask >> i & 1
+                    or (r := colon_size(prefix_mask, i)) is None):
+                continue
+            res = dfs(prefix_mask | (1 << i), path + [(i, r)])
+            if res is not None:
+                return res
+            if budget_hit:
                 return None
-            prefix ^= 1 << path.pop()[0]
-            i, end = frames.pop()
-        else:
-            frames.append((i + 1, end))
-            path.append((i, r))
-            prefix |= 1 << i
-            if prefix == full:
-                return QuotientOrder(tuple(gens[j] for j, _ in path),
-                                     tuple(r for _, r in path))
-            i = None
+        dead.add(prefix_mask)
+        return None
+
+    result = dfs(0, [])
+    if result is not None:
+        return QuotientOrder(tuple(gens[i] for i, _ in result),
+                             tuple(r for _, r in result))
+    if budget_hit:
+        return UNDECIDED
+    return None
 
 
 def has_linear_quotients(I: MonomialIdeal, caps: Optional[Caps] = None) -> bool:

@@ -297,10 +297,11 @@ def test_python_dash_m_runs_the_cli(ideal_file, tmp_path):
 
 @pytest.mark.parametrize("n, d, total", [(8, 3, 7423), (7, 4, 7937)])
 def test_cli_powers_of_the_maximal_ideal_match_eliahou_kervaire(
-        ideal_file, capsys, n, d, total):
-    # m^d is stable with mu = C(n+d-1, d) past the lq-generators cap; its
-    # stored order is a linear-quotients order, and Eliahou-Kervaire gives
-    # beta_{i,d+i}(m^d) = C(n+d-1, d+i) C(d+i-1, i)
+        ideal_file, monkeypatch, capsys, n, d, total):
+    # m^d is stable with mu = C(n+d-1, d), past the default lq-generators
+    # cap; its stored order is a linear-quotients order, and
+    # Eliahou-Kervaire gives beta_{i,d+i}(m^d) = C(n+d-1, d+i) C(d+i-1, i)
+    monkeypatch.setenv("MONOGRAD_CAPS", "lq-generators=256")
     f = ideal_file(serialize_ideal(MonomialIdeal.maximal(n) ** d))
     assert run_cli(["betti", f, "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)

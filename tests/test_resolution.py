@@ -447,13 +447,15 @@ def test_certificate_tables_match_lattice_walk_and_koszul():
     assert certified > 100 and koszul_checked > 50
 
 
-def test_certificate_budget_past_the_generator_cap(lq_spy):
-    # mu = 120 > 64: the budget is mu nodes, and the stored order is a
-    # witness
+def test_certificate_search_stays_within_the_generator_cap(lq_spy):
+    # mu = 120: certified with a budget of mu * n nodes once the cap admits
+    # it, and past the cap no search starts at all
     J = MonomialIdeal.maximal(8) ** 3
-    assert betti_table(J).engine == "linear-quotients"
-    assert regularity(J) == 3
-    K = I(4, "x1*x2", "x3*x4")
-    assert betti_table(K, caps=Caps(lq_generators=1)).engine == "hochster"
-    assert [b for _, b, _ in lq_spy] == [120, 120, 2]
-    assert lq_spy[2][2] in (None, UNDECIDED)
+    caps = Caps(lq_generators=120)
+    assert betti_table(J, caps=caps).engine == "linear-quotients"
+    assert regularity(J, caps=caps) == 3
+    assert [b for _, b, _ in lq_spy] == [960, 960]
+    K = MonomialIdeal.maximal(3) ** 2
+    assert betti_table(K, caps=Caps(lq_generators=5)).engine == "hochster"
+    assert regularity(K, caps=Caps(lq_generators=5)) == 2
+    assert len(lq_spy) == 2

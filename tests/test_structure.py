@@ -272,16 +272,17 @@ def test_degree_ordered_search_decides_linear_quotients():
     assert found > 50 and exhausted > 50
 
 
-def test_budgeted_search_ignores_the_generator_cap():
-    # the cap bounds only the exhaustive search; the stored order of a
-    # power of the maximal ideal is a witness on its own
+def test_budgeted_search_finds_the_stored_order_first():
+    # the stored order of a power of the maximal ideal is a witness on its
+    # own, with r_k = max(supp u_k) - 1 (Eliahou-Kervaire); a budget does
+    # not lift the generator cap
     J = MonomialIdeal.maximal(4) ** 3
-    caps = Caps(lq_generators=4)
-    with pytest.raises(ResourceCapError):
-        linear_quotients_order(J, caps=caps)
-    order = linear_quotients_order(J, caps=caps, node_budget=J.mu)
+    order = linear_quotients_order(J, node_budget=J.mu)
     assert order.order == J.gens
     assert order.colon_sizes == tuple(max(supp(u)) - 1 for u in J.gens)
+    with pytest.raises(ResourceCapError):
+        linear_quotients_order(J, caps=Caps(lq_generators=4),
+                               node_budget=J.mu)
 
 
 def test_search_tries_only_the_least_degree_left():
