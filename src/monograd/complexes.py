@@ -35,14 +35,8 @@ def _to_mask(vertices: Iterable[int]) -> int:
 
 
 def _from_mask(mask: int) -> FrozenSet[int]:
-    out = []
-    v = 1
-    while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
-    return frozenset(out)
+    return frozenset(v for v in range(1, mask.bit_length() + 1)
+                     if mask >> (v - 1) & 1)
 
 
 def _antichain(masks: Iterable[int]) -> Tuple[int, ...]:
@@ -270,10 +264,6 @@ def stanley_reisner_ideal(delta: SimplicialComplex) -> MonomialIdeal:
     """Inverse map: squarefree ideal generated on the minimal nonfaces."""
     if delta.void:
         return MonomialIdeal.unit(delta.n)
-    gens = []
-    for f in delta.minimal_nonfaces:
-        u = [0] * delta.n
-        for v in f:
-            u[v - 1] = 1
-        gens.append(tuple(u))
-    return MonomialIdeal(delta.n, gens)
+    return MonomialIdeal(delta.n, [
+        tuple(int(v in f) for v in range(1, delta.n + 1))
+        for f in delta.minimal_nonfaces])

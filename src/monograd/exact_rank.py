@@ -18,45 +18,10 @@ its rank over Q: this is clearing (Chen-Kerber, "Persistent homology
 computation with a twist", 2011), and `pivot_rows` collects the rows it
 needs.
 
-`bareiss_rank` is a dense fraction-free elimination kept as an
-independent oracle for tests.
+The tests check it against a dense fraction-free (Bareiss) elimination.
 """
 
 from math import gcd
-
-
-def bareiss_rank(rows):
-    """Rank of a dense integer matrix (list of lists), fraction-free."""
-    m = [list(r) for r in rows]
-    if not m or not m[0]:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if m[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        p = m[r][c]
-        for i in range(r + 1, nrows):
-            f = m[i][c]
-            if f == 0 and p == prev:
-                continue  # the update would leave this row unchanged
-            row_i, row_r = m[i], m[r]
-            for j in range(c, ncols):
-                row_i[j] = (row_i[j] * p - f * row_r[j]) // prev
-        prev = p
-        rank += 1
-        r += 1
-        if r == nrows:
-            break
-    return rank
 
 
 def sparse_rank(columns, pivot_rows=None):

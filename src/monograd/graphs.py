@@ -8,6 +8,7 @@ realizing prescribed regularity gaps.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import FrozenSet, List, Optional, Tuple
 
@@ -42,36 +43,25 @@ class SimpleGraph:
 
 def edge_ideal(G: SimpleGraph) -> MonomialIdeal:
     """Quadratic squarefree ideal on the edges of G."""
-    import warnings
-
     if not G.edges:
         warnings.warn("edgeless graph: edge ideal is the zero ideal",
                       stacklevel=2)
         return MonomialIdeal.zero(G.n)
-    gens = []
-    for i, j in G.edge_pairs():
-        u = [0] * G.n
-        u[i - 1] = u[j - 1] = 1
-        gens.append(tuple(u))
-    return MonomialIdeal(G.n, gens)
+    return MonomialIdeal(G.n, [tuple(int(v in e) for v in range(1, G.n + 1))
+                               for e in G.edge_pairs()])
 
 
 def complementary_edge_ideal(G: SimpleGraph) -> MonomialIdeal:
     """Generators x_[n]/(x_i x_j) over edges {i,j}; degree n-2 each."""
-    import warnings
-
     if G.n < 2:
         raise DomainError("complementary edge ideal needs n >= 2")
     if not G.edges:
         warnings.warn("edgeless graph: complementary edge ideal is zero",
                       stacklevel=2)
         return MonomialIdeal.zero(G.n)
-    gens = []
-    for i, j in G.edge_pairs():
-        u = [1] * G.n
-        u[i - 1] = u[j - 1] = 0
-        gens.append(tuple(u))
-    return MonomialIdeal(G.n, gens)
+    return MonomialIdeal(G.n, [
+        tuple(int(v not in e) for v in range(1, G.n + 1))
+        for e in G.edge_pairs()])
 
 
 def is_connected(G: SimpleGraph) -> bool:
@@ -88,15 +78,10 @@ def peel_order(G: SimpleGraph) -> List[int]:
     edges = set(G.edges)
     order = []
     while len(remaining) > 1:
-        chosen = None
-        for v in sorted(remaining, reverse=True):
-            rest = [w for w in remaining if w != v]
-            sub = [e for e in edges if v not in e]
-            if _connected_on(rest, sub):
-                chosen = v
-                break
-        if chosen is None:  # connected graphs always have a non-cut vertex
-            raise AssertionError("no removable vertex found")
+        # a connected graph always has a non-cut vertex
+        chosen = next(v for v in sorted(remaining, reverse=True)
+                      if _connected_on([w for w in remaining if w != v],
+                                       [e for e in edges if v not in e]))
         order.append(chosen)
         remaining.remove(chosen)
         edges = {e for e in edges if chosen not in e}
@@ -238,10 +223,5 @@ def family_overlap_run(d: int) -> MonomialIdeal:
     size, cap = (d + 1) * n, default_caps().component_enum
     if size > cap:
         raise ResourceCapError("component-enum", cap, size)
-    gens = []
-    for i in range(1, d + 2):
-        u = [0] * n
-        for j in range(d):
-            u[i + j - 1] = 1
-        gens.append(tuple(u))
-    return MonomialIdeal(n, gens)
+    return MonomialIdeal(n, [tuple(int(i <= v < i + d) for v in range(1, n + 1))
+                             for i in range(1, d + 2)])

@@ -45,9 +45,7 @@ def macaulay_rep(a: int, d: int) -> MacaulayRep:
         terms.append((ai, i))
         rest -= math.comb(ai, i)
         i -= 1
-    rep = MacaulayRep(d, tuple(terms))
-    assert rep.value == a
-    return rep
+    return MacaulayRep(d, tuple(terms))
 
 
 def shadow_bound(a: int, d: int) -> int:

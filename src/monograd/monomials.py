@@ -7,13 +7,15 @@ then lexicographically descending on exponent vectors), so equal ideals
 compare equal structurally and all outputs are byte-deterministic.
 
 Every ideal keeps the degree and support bitmask of each generator, and
-derived ideals take them from their operands instead of recomputing
-them: uv has degree d_u + d_v and mask m_u | m_v, u/x_i has degree
-d_u - 1 and keeps bit i - 1 unless x_i divides u only once, and a sum
-keeps both operands' entries.  They screen divisibility tests before any
-exponents are compared: a monomial of degree d is divisible only by
-monomials of degree < d (or itself), and v can divide u only if the
-support bitmask of v lies inside that of u.
+derived ideals take them from their operands: uv has degree d_u + d_v
+and mask m_u | m_v, u/x_i has degree d_u - 1 and keeps bit i - 1 unless
+x_i divides u only once, and a sum keeps both operands' entries.
+
+Divisibility is tested by a scan of the generators of degree <= deg u
+whose support mask lies inside that of u, or by the exponent index, an
+AND of n bitmasks.  An ideal builds the index of its generators once its
+scans have cost as much (ski rental), or when the lcm-lattice walk or
+the linear-quotients colon tables need it.
 
 Variables are 1-based throughout the public API, matching x_1,...,x_n.
 """
@@ -22,8 +24,10 @@ from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_left, bisect_right
+from functools import reduce
 from itertools import combinations, compress, count, repeat
-from operator import add, itemgetter, le, neg
+from operator import add, and_, getitem, itemgetter, le, neg, or_
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .caps import Caps, default_caps
@@ -127,14 +131,19 @@ def squarefree_monomials_of_degree(n: int, d: int):
 
 
 def _check_monomial(u, n: Optional[int]) -> Monomial:
-    u = tuple(u)
+    try:
+        u = tuple(u)
+    except TypeError:
+        raise DomainError(f"monomial {u!r} is not an exponent list") from None
     if n is not None and len(u) != n:
         raise DimensionMismatchError(
             f"monomial {u} has length {len(u)}, expected {n}"
         )
     if not u:
         return u
-    if not all(map(isinstance, u, repeat(int))) or min(u) < 0:
+    kinds = set(map(type, u))  # bool is an int subclass, not an exponent
+    if (kinds != {int} and (bool in kinds or not all(
+            map(issubclass, kinds, repeat(int))))) or min(u) < 0:
         raise DomainError(f"monomial {u} has a negative or non-integer exponent")
     if max(u) > EXPONENT_BOUND:
         raise ExponentOverflowError(f"exponent exceeds bound {EXPONENT_BOUND}")
@@ -165,18 +174,80 @@ class GeneratorStats(NamedTuple):
     support: frozenset
 
 
+class _AtMost(dict):
+    """Exponent e -> mask of the monomials with exponent <= e at a variable,
+    stored for the exponents in `exps`; any other e is rounded down."""
+
+    __slots__ = ("exps",)
+
+    def __missing__(self, e):
+        return self[self.exps[bisect_right(self.exps, e) - 1]]
+
+
+class _ExponentIndex:
+    """Bit-sliced exponent tables of monomials u_0..u_{M-1}, bit j of each
+    mask standing for u_j: exact[k][e] and le[k][e] are the masks of the
+    u_j with exponent e, and <= e, at x_{k+1}, for the e that occur there
+    (0 included); the u_j dividing u are the AND over k of le[k][u_k].
+    The build visits each support bit (exponent-0 masks are complements),
+    then each table entry: its build size is n + sum |supp u_j| steps.
+    """
+
+    __slots__ = ("full", "exact", "le")
+
+    def __init__(self, gens: Sequence[Monomial]):
+        self.full = full = (1 << len(gens)) - 1
+        self.exact, self.le = [], []
+        for col in zip(*gens):
+            ex = {}
+            for j, e in compress(enumerate(col), col):
+                ex[e] = ex.get(e, 0) | 1 << j
+            le = _AtMost()
+            le.exps = exps = [0] + sorted(ex)
+            ex[0] = acc = full ^ sum(ex.values())  # disjoint masks
+            for e in exps:
+                acc = le[e] = acc | ex[e]
+            self.exact.append(ex)
+            self.le.append(le)
+
+    def divisors(self, u) -> int:
+        """The mask of the u_j dividing u."""
+        return reduce(and_, map(getitem, self.le, u), self.full)
+
+
 def _minimal_elements(entries: dict) -> dict:
     """The divisibility-minimal entries of {u: (deg u, support mask of u)},
     in canonical order.
 
-    Each u is compared only with kept generators of strictly lower degree
-    whose support mask lies inside that of u, so equigenerated inputs need
-    no comparisons at all.
+    Only monomials of lower degree divide u (other than u), so entries of
+    the least degree are minimal.  The others take the cheaper of two
+    tests, in steps: the scan compares u with the kept lower-degree
+    entries whose support mask lies inside that of u, at most P steps for
+    P pairs of entries of different degrees; the exponent index of the
+    entries below the top degree takes its build plus n ANDs per u.
     """
-    kept = {}
-    lower, level, top = [], [], 0  # kept (v, mask) of degree < top, = top
     ordered = sorted(entries.items(), reverse=True)
     ordered.sort(key=lambda e: e[1][0])  # stable: the canonical order
+    if not ordered or ordered[0][1][0] == ordered[-1][1][0]:
+        return dict(ordered)
+    n, size = len(ordered[0][0]), len(ordered)
+    # P <= size - 1 per u tested, so the scan wins while size - 1 <= n
+    if size - 1 > n:
+        degrees = list(map(itemgetter(0), map(itemgetter(1), ordered)))
+        least = bisect_right(degrees, degrees[0])
+        below_top = bisect_left(degrees, degrees[-1])
+        spare = (sum(map(bisect_left, repeat(degrees), degrees))
+                 - n * (size - least + 1))
+        if spare > 0 and spare > sum(
+                int.bit_count(m) for _, (_, m) in ordered[:below_top]):
+            index = _ExponentIndex([u for u, _ in ordered[:below_top]])
+            # bit j is u_j itself, if u_j is in the index, and any other
+            # divisor of u_j has lower degree
+            return dict(ordered[:least] + [
+                (u, e) for j, (u, e) in enumerate(ordered[least:], least)
+                if not index.divisors(u) & ~(1 << j)])
+    kept = {}
+    lower, level, top = [], [], 0  # kept (v, mask) of degree < top, = top
     for u, (d, m) in ordered:
         if d > top:
             lower += level
@@ -198,7 +269,7 @@ class MonomialIdeal:
     generators, the unit ideal is generated by the unit monomial.
     """
 
-    __slots__ = ("n", "gens", "_degs", "_masks")
+    __slots__ = ("n", "gens", "_degs", "_masks", "_index")
 
     def __init__(self, n: int, gens: Iterable = ()):
         _check_ambient(n)
@@ -213,6 +284,9 @@ class MonomialIdeal:
         # the divisibility screen of each generator, for contains()
         object.__setattr__(self, "_degs", tuple(map(itemgetter(0), values)))
         object.__setattr__(self, "_masks", tuple(map(itemgetter(1), values)))
+        # the exponent index of gens; before it is built, None or the
+        # generator visits scans may still make (see _contains)
+        object.__setattr__(self, "_index", None)
 
     @classmethod
     def _trusted(cls, n: int, entries: dict, minimal=False) -> "MonomialIdeal":
@@ -289,9 +363,7 @@ class MonomialIdeal:
 
     @property
     def support(self) -> frozenset:
-        m = 0
-        for gm in self._masks:
-            m |= gm
+        m = reduce(or_, self._masks, 0)
         return frozenset(k + 1 for k in range(m.bit_length()) if m >> k & 1)
 
     def stats(self) -> GeneratorStats:
@@ -306,18 +378,43 @@ class MonomialIdeal:
             )
 
     def contains(self, u) -> bool:
-        u = _check_monomial(u, self.n)
-        return self._contains(u, sum(u), _support_mask(u))
+        return self._contains(_check_monomial(u, self.n))
 
-    def _contains(self, u, d: int, mask: int) -> bool:
-        """Membership of a checked u of degree d and support mask `mask`."""
-        outside = ~mask
-        for g, gd, gm in zip(self.gens, self._degs, self._masks):
+    def _contains(self, u, d=None, mask=None) -> bool:
+        """Membership of a checked u (of degree d and support mask `mask`).
+        Scans pay for the exponent index (ski rental): it is built once the
+        generators they visited beyond the n ANDs of a lookup outnumber its
+        build size, at most twice the cost of the cheaper of scanning always
+        and building at once."""
+        index = self._index
+        if isinstance(index, _ExponentIndex):
+            return index.divisors(u) != 0
+        if d is None:
+            d, mask = sum(u), _support_mask(u)
+        outside, visits, found = ~mask, 0, False
+        for visits, g, gd, gm in zip(count(1), self.gens, self._degs,
+                                     self._masks):
             if gd > d:
-                return False  # generators are degree-ascending
+                break  # generators are degree-ascending
             if not gm & outside and divides(g, u):
-                return True
-        return False
+                found = True
+                break
+        if visits > self.n:
+            if index is None:  # the build size
+                index = self.n + sum(map(int.bit_count, self._masks))
+            if index > visits - self.n:
+                object.__setattr__(self, "_index", index - visits + self.n)
+            else:
+                self._exponent_index()
+        return found
+
+    def _exponent_index(self) -> _ExponentIndex:
+        """The exponent index of G(I), built now if it is not yet."""
+        index = self._index
+        if not isinstance(index, _ExponentIndex):
+            index = _ExponentIndex(self.gens)
+            object.__setattr__(self, "_index", index)
+        return index
 
     def contains_ideal(self, other: "MonomialIdeal") -> bool:
         """True iff other <= self as ideals."""
@@ -404,14 +501,19 @@ class MonomialIdeal:
         total = math.comb(self.n + j - 1, j) if self.n > 0 else (1 if j == 0 else 0)
         if total > caps.component_enum:
             raise ResourceCapError("component-enum", caps.component_enum, total)
-        out = set()
-        for u in self.gens:
-            r = j - deg(u)
-            if r < 0:
-                continue
-            for w in monomials_of_degree(self.n, r):
-                out.add(mono_mul(u, w))
-        return MonomialIdeal(self.n, out)
+        # the products uw have degree j and support mask m_u | m_w, and
+        # exponents of at most j
+        mul = mono_mul if j > EXPONENT_BOUND else _add_exponents
+        cofactors, entries = {}, {}
+        for u, d, m in zip(self.gens, self._degs, self._masks):
+            if d > j:
+                break
+            if j - d not in cofactors:
+                cofactors[j - d] = [(w, _support_mask(w)) for w in
+                                    monomials_of_degree(self.n, j - d)]
+            for w, mw in cofactors[j - d]:
+                entries[mul(u, w)] = j, m | mw
+        return MonomialIdeal._trusted(self.n, entries)
 
     # -- restriction / relabeling ---------------------------------------
     def compress(self):
@@ -481,9 +583,6 @@ def is_complete_intersection(I: MonomialIdeal) -> bool:
     """Monomial regular sequence test: pairwise disjoint generator supports."""
     if I.is_zero or I.is_unit:
         raise DomainError("complete-intersection test needs a proper nonzero ideal")
-    supports = [supp(u) for u in I.gens]
-    for i in range(len(supports)):
-        for j in range(i + 1, len(supports)):
-            if supports[i] & supports[j]:
-                return False
-    return True
+    # the supports are disjoint iff their sizes add up to their union's
+    return (sum(map(int.bit_count, I._masks))
+            == reduce(or_, I._masks).bit_count())

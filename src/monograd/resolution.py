@@ -8,8 +8,9 @@ complex K^b = {F subseteq supp b : x^(b-F) in I} (Miller-Sturmfels, Thm
 
 - the Alexander dual D of K^b on supp b, k = |supp b| vertices at most:
   beta_{i,b} = dim H~_{k-i-1}(D).  Its minimal nonfaces N_1..N_m are the
-  sets {l : g_l = b_l > 0} of the generators g dividing x^b; for
-  squarefree I, D is Delta_W, W = supp b, and the formula is Hochster's.
+  sets {l : g_l = b_l > 0} of the generators g dividing x^b, read off
+  the exponent index of G(I); for squarefree I, D is Delta_W, W = supp b,
+  and the formula is Hochster's.
 - the nerve Gamma_b = {S subseteq [m] : the union of the N_j, j in S, is
   not supp b} of the facets supp b - N_j of the Alexander dual of D,
   that is the sets of generators whose lcm is not x^b: beta_{i,b} =
@@ -32,8 +33,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import compress
-from operator import eq, le
+from itertools import combinations, compress, count
 from typing import Dict, List, Optional, Tuple
 
 from .caps import Caps, default_caps
@@ -99,17 +99,21 @@ def _koszul_dual(I: MonomialIdeal, b) -> Tuple[int, SimplicialComplex]:
     x^(b-F) lies in I iff some generator g dividing x^b has g_k < b_k for
     every k in F, so the minimal nonfaces of D are the sets
     {k : g_k = b_k > 0} of those g: for squarefree I the supports of the
-    g inside W = supp b, which is Hochster's Delta_W.
+    g inside W = supp b, which is Hochster's Delta_W.  The exponent index
+    gives those g as a mask G_b, and G_b & exact[k][b_k] has k in the set.
     """
-    w = _support_mask(b)
-    outside = ~w
-    bits = [1 << k for k in range(I.n)]
-    # generators dividing x^b: support inside w, then every exponent;
-    # g_k = b_k outside w only where both are 0, so & w drops those k
-    tight = [sum(compress(bits, map(eq, g, b))) & w
-             for g, m in zip(I.gens, I._masks)
-             if not m & outside and all(map(le, g, b))]
-    return w, SimplicialComplex._from_masks(I.n, tight)
+    index = I._exponent_index()
+    divisors = index.divisors(b)
+    tight = {}  # generator bit -> its nonface {k : g_k = b_k > 0}
+    for k in compress(count(), b):
+        a = divisors & index.exact[k][b[k]]
+        while a:
+            g = a & -a
+            tight[g] = tight.get(g, 0) | 1 << k
+            a ^= g
+    if len(tight) < divisors.bit_count():
+        tight[0] = 0  # a divisor tight nowhere: the empty set is a nonface
+    return _support_mask(b), SimplicialComplex._from_masks(I.n, tight.values())
 
 
 def _nerve_faces(w: int, nonfaces, top: Optional[int] = None):
@@ -203,10 +207,6 @@ def _hochster_regularity(I: MonomialIdeal, caps: Caps) -> int:
         i = _element_betti(I, b, most=j - best)
         if i is not None:
             best = j - i + 1
-    if best == 0 and not I.is_zero:
-        # proper nonzero ideals always exhibit homology at the lcm of a
-        # single generator, so this branch is unreachable
-        raise AssertionError("no Hochster homology found for a nonzero ideal")
     return best
 
 
@@ -229,24 +229,14 @@ def polarize(I: MonomialIdeal, caps: Optional[Caps] = None) -> Polarization:
     if I.is_zero or I.is_unit:
         raise DomainError("polarization needs a proper nonzero ideal")
     caps = caps or default_caps()
-    max_exp = [max((u[i] for u in I.gens), default=0) for i in range(I.n)]
-    slots: List[Tuple[int, int]] = []
-    offset = {}
-    for i in range(I.n):
-        offset[i] = len(slots)
-        for t in range(max_exp[i]):
-            slots.append((i + 1, t + 1))
-    total = len(slots)
-    if total > caps.polarized_vars:
-        raise ResourceCapError("polarized-vars", caps.polarized_vars, total)
-    gens = []
-    for u in I.gens:
-        w = [0] * total
-        for i, e in enumerate(u):
-            for t in range(e):
-                w[offset[i] + t] = 1
-        gens.append(tuple(w))
-    return Polarization(MonomialIdeal(total, gens), tuple(slots))
+    slots = tuple((i + 1, t) for i, col in enumerate(zip(*I.gens))
+                  for t in range(1, max(col) + 1))
+    if len(slots) > caps.polarized_vars:
+        raise ResourceCapError("polarized-vars", caps.polarized_vars,
+                               len(slots))
+    # x_i^e becomes the product of the slot variables (i, 1..e)
+    gens = [tuple(int(t <= u[i - 1]) for i, t in slots) for u in I.gens]
+    return Polarization(MonomialIdeal(len(slots), gens), slots)
 
 
 # ---------------------------------------------------------------------------
@@ -275,14 +265,9 @@ def koszul_betti(I: MonomialIdeal, i: int, j: int,
         count = math.comb(n, ii) * (math.comb(n + d - 1, d) if n else (d == 0))
         if count > caps.component_enum:
             raise ResourceCapError("component-enum", caps.component_enum, count)
-        from itertools import combinations
-
-        basis = []
-        for F in combinations(range(1, n + 1), ii):
-            for w in monomials_of_degree(n, d):
-                if not I.contains(w):
-                    basis.append((F, w))
-        return basis
+        standard = [w for w in monomials_of_degree(n, d) if not I.contains(w)]
+        return [(F, w) for F in combinations(range(1, n + 1), ii)
+                for w in standard]
 
     def differential(source, target_index):
         cols = []
@@ -319,8 +304,7 @@ def koszul_betti_table(I: MonomialIdeal, max_j: Optional[int] = None,
     if I.is_zero or I.is_unit:
         raise DomainError("Betti table needs a proper nonzero ideal")
     if max_j is None:
-        lcm = [max(u[k] for u in I.gens) for k in range(I.n)]
-        max_j = sum(lcm)
+        max_j = sum(map(max, zip(*I.gens)))
     entries = {}
     for i in range(1, I.n + 1):
         for j in range(i, max_j + 1):

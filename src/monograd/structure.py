@@ -1,20 +1,23 @@
 """Decision procedures for structural classes of monomial ideals:
 linear quotients, vertex splittability, (componentwise) polymatroidality,
-and (strong) stability.
+and (strong) stability.  The colon tables of the linear-quotients search
+and the polymatroidal test read the exponent index of G(I).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
-from operator import or_
+from functools import reduce
+from itertools import accumulate, compress, count, repeat
+from operator import and_, getitem, or_, xor
 from typing import Dict, List, Optional, Tuple, Union
 
 from .caps import Caps, default_caps
 from .errors import DomainError, ResourceCapError
 from .monomials import (
     MonomialIdeal,
+    _ExponentIndex,
     deg,
     divide_by_variable,
     mono_mul,
@@ -46,37 +49,27 @@ class QuotientOrder:
     colon_sizes: Tuple[int, ...]
 
 
-def _colon_masks(gens):
+def _colon_masks(gens, index: Optional[_ExponentIndex] = None):
     """Colon tables indexed by candidate i and variable k; each entry is a
     bitmask over the generators u_j.
 
     cover[i][k] has bit j set when x_k divides u_j : u_i, i.e.
     u_j[k] > u_i[k]; step[i][k] has bit j set when u_j : u_i is exactly x_k,
-    i.e. u_j[k] = u_i[k] + 1 and no other variable covers u_j.  Both come
-    from per-variable tables, keyed by the exponents that occur:
-    exact[k][e] holds the generators with exponent e at x_k, above[k][e]
-    those with a larger one.
+    i.e. u_j[k] = u_i[k] + 1 and no other variable covers u_j.  Both are
+    read off the exponent index of gens (built here unless given): the
+    u_j above u_i at x_k are the complement of index.le[k][u_i[k]], those
+    exactly one above are index.exact[k][u_i[k] + 1].
     """
-    exact, above = [], []
-    for col in zip(*gens):
-        ex = {}
-        for j, e in enumerate(col):
-            ex[e] = ex.get(e, 0) | 1 << j
-        ab, acc = {}, 0
-        for e in sorted(ex, reverse=True):
-            ab[e] = acc
-            acc |= ex[e]
-        exact.append(ex)
-        above.append(ab)
+    index = index or _ExponentIndex(gens)
     cover, step = [], []
     for u in gens:
-        cov = [ab[e] for ab, e in zip(above, u)]
+        cov = list(map(xor, repeat(index.full), map(getitem, index.le, u)))
         # p | s: the generators covered by a variable other than x_k
         pre = accumulate(cov, or_, initial=0)
         suf = list(accumulate(reversed(cov), or_, initial=0))[-2::-1]
         cover.append(cov)
         step.append([ex.get(e + 1, 0) & ~(p | s)
-                     for ex, e, p, s in zip(exact, u, pre, suf)])
+                     for ex, e, p, s in zip(index.exact, u, pre, suf)])
     return cover, step
 
 
@@ -105,7 +98,7 @@ def linear_quotients_order(
         return QuotientOrder((I.gens[0],), (0,))
 
     gens, degs = I.gens, I._degs
-    cover, step = _colon_masks(gens)
+    cover, step = _colon_masks(gens, I._exponent_index())
     full = (1 << m) - 1
     dead = set()
     nodes = 0
@@ -205,28 +198,25 @@ def vertex_split_tree(I: MonomialIdeal, _memo: Optional[Dict] = None):
 # polymatroidal / componentwise polymatroidal
 
 def is_polymatroidal(I: MonomialIdeal) -> bool:
-    """Bases exchange property on the exponent vectors of G(I)."""
+    """Bases exchange property on the exponent vectors of G(I): for u, v
+    in G(I) and u_i > v_i, some j with u_j < v_j has u x_j / x_i in G(I).
+    With these j as the targets of (u, i), the v no target serves have
+    v_i < u_i and v_j <= u_j at every target: an AND of index masks."""
     if I.is_zero or I.is_unit:
         raise DomainError("polymatroidal test needs a proper nonzero ideal")
     if I.alpha != I.omega:
         return False
-    bases = set(I.gens)
-    for u in bases:
-        for v in bases:
-            for i in range(I.n):
-                if u[i] <= v[i]:
-                    continue
-                found = False
-                for j in range(I.n):
-                    if u[j] < v[j]:
-                        w = list(u)
-                        w[i] -= 1
-                        w[j] += 1
-                        if tuple(w) in bases:
-                            found = True
-                            break
-                if not found:
-                    return False
+    targets = {}  # w -> the k with w x_k in G(I), over the w = g / x_k
+    for g in I.gens:
+        for k in compress(count(), g):
+            targets.setdefault(divide_by_variable(g, k + 1), []).append(k)
+    le = I._exponent_index().le
+    for u in I.gens:
+        for i in compress(count(), u):
+            if reduce(and_, (le[j][u[j]] for j in
+                             targets[divide_by_variable(u, i + 1)]),
+                      le[i][u[i] - 1]):
+                return False
     return True
 
 
@@ -253,27 +243,21 @@ def is_componentwise_polymatroidal(I: MonomialIdeal,
 # ---------------------------------------------------------------------------
 # stability
 
-def _max_var(u) -> int:
-    return max(supp(u))
-
-
 def is_stable(I: MonomialIdeal) -> bool:
-    if I.is_zero or I.is_unit:
-        raise DomainError("stability test needs a proper nonzero ideal")
-    for u in I.gens:
-        mv = _max_var(u)
-        shifted = divide_by_variable(u, mv)
-        for i in range(1, mv):
-            if not I.contains(mono_mul(shifted, variable(I.n, i))):
-                return False
-    return True
+    return _is_stable(I, strongly=False)
 
 
 def is_strongly_stable(I: MonomialIdeal) -> bool:
+    return _is_stable(I, strongly=True)
+
+
+def _is_stable(I: MonomialIdeal, strongly: bool) -> bool:
+    """u x_i / x_j lies in I for every u in G(I) and i < j, where j is
+    the largest index in supp u, or any index there if strongly."""
     if I.is_zero or I.is_unit:
         raise DomainError("stability test needs a proper nonzero ideal")
     for u in I.gens:
-        for j in supp(u):
+        for j in supp(u) if strongly else (max(supp(u)),):
             shifted = divide_by_variable(u, j)
             for i in range(1, j):
                 if not I.contains(mono_mul(shifted, variable(I.n, i))):
@@ -301,7 +285,7 @@ def _closure(n: int, seeds, strongly: bool) -> MonomialIdeal:
         u = frontier.pop()
         if deg(u) == 0:
             continue
-        targets = supp(u) if strongly else {_max_var(u)}
+        targets = supp(u) if strongly else {max(supp(u))}
         for j in targets:
             shifted = divide_by_variable(u, j)
             for i in range(1, j):

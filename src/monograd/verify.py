@@ -248,9 +248,7 @@ def cycle_certificate(d: int) -> CycleCertificate:
     delta = stanley_reisner_complex(gradient(I))
     n = 2 * d
     W = sorted(set(range(1, d)) | set(range(d + 2, n + 1)))
-    wmask = 0
-    for v in W:
-        wmask |= 1 << (v - 1)
+    wmask = sum(1 << (v - 1) for v in W)
     failures = []
 
     # (a) no faces of cardinality 2d-3 inside W

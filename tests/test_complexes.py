@@ -6,12 +6,47 @@ import monograd.complexes as complexes
 from monograd.complexes import (SimplicialComplex, _from_mask,
                                 stanley_reisner_complex, stanley_reisner_ideal)
 from monograd.errors import DomainError
-from monograd.exact_rank import bareiss_rank, sparse_rank
+from monograd.exact_rank import sparse_rank
 from monograd.monomials import MonomialIdeal
 
 
 def I(n, *strs):
     return MonomialIdeal.from_strings(n, list(strs))
+
+
+def bareiss_rank(rows):
+    """Rank of a dense integer matrix (list of lists) by fraction-free
+    Bareiss elimination: the oracle for sparse_rank."""
+    m = [list(r) for r in rows]
+    if not m or not m[0]:
+        return 0
+    nrows, ncols = len(m), len(m[0])
+    rank = 0
+    prev = 1
+    r = 0
+    for c in range(ncols):
+        pivot_row = None
+        for i in range(r, nrows):
+            if m[i][c] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        p = m[r][c]
+        for i in range(r + 1, nrows):
+            f = m[i][c]
+            if f == 0 and p == prev:
+                continue  # the update would leave this row unchanged
+            row_i, row_r = m[i], m[r]
+            for j in range(c, ncols):
+                row_i[j] = (row_i[j] * p - f * row_r[j]) // prev
+        prev = p
+        rank += 1
+        r += 1
+        if r == nrows:
+            break
+    return rank
 
 
 def test_exact_rank_small():

@@ -61,6 +61,30 @@ def test_round_trip_random():
         assert parse_ideal(json.loads(ideal_to_json(J))) == J
 
 
+def test_library_built_ideals_round_trip_through_json():
+    from monograd.graphs import SimpleGraph, edge_ideal
+    from monograd.monomials import veronese_type
+
+    rng = random.Random(2718)
+    built = []
+    for _ in range(40):
+        n = rng.randint(2, 5)
+        A = random_ideal(n, 1, 3, rng.randint(1, 4), rng=rng)
+        B = random_ideal(n, 0, 2, rng.randint(1, 3), rng=rng)
+        built += [A + B, A * B, A ** 2, gradient(A), A.colon_variable(1),
+                  A.degree_component(A.omega + 1), A.compress()[0]]
+    built += [MonomialIdeal.zero(3), MonomialIdeal.unit(2),
+              MonomialIdeal.maximal(0), veronese_type(3, (2, 1, 2), 3),
+              edge_ideal(SimpleGraph(4, [(1, 2), (2, 3), (3, 4)])) ** 2]
+    for J in built:
+        text = ideal_to_json(J)
+        assert "true" not in text and "false" not in text, text
+        assert parse_ideal(text) == J, J
+    # bools are not exponents, so such an ideal is never built
+    with pytest.raises(DomainError):
+        MonomialIdeal(2, [(True, 1)])
+
+
 def test_graph_round_trip():
     doc = {"n": 4, "edges": [[1, 2], [3, 4]]}
     G = parse_graph(doc)

@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+import monograd.monomials as monomials
 from monograd.errors import DomainError, ExponentOverflowError, ResourceCapError
 from monograd.caps import Caps
 from monograd.gradient import gradient
@@ -283,6 +284,152 @@ def test_screened_minimalization_and_contains_match_oracles():
                 (n, raw, u)
             checked += 1
     assert checked > 2500
+
+
+# ---------------------------------------------------------------------------
+# the exponent index and the two rules that choose it over a scan
+
+def _index_cases():
+    """(ideal, membership queries): the unit and zero ideals, n = 0, and
+    seeded ideals that leave variables out, queried past every exponent
+    of the generators and outside their support."""
+    rng = random.Random(31)
+    cases = []
+    for n in (0, 1, 4):
+        qs = [(0,) * n] + [tuple(rng.randint(0, 3) for _ in range(n))
+                           for _ in range(5)]
+        cases += [(MonomialIdeal.unit(n), qs), (MonomialIdeal.zero(n), qs)]
+    for _ in range(60):
+        n = rng.randint(2, 8)
+        support = rng.sample(range(n), rng.randint(1, n - 1))
+        gens = []
+        for _ in range(rng.randint(1, 14)):
+            u = [0] * n
+            for _ in range(rng.randint(1, 6)):
+                u[rng.choice(support)] += 1
+            gens.append(tuple(u))
+        J = MonomialIdeal(n, gens)
+        top = max(map(max, J.gens))
+        outside = [k for k in range(n) if k not in support]
+        qs = [(top + 1,) * n, (EXPONENT_BOUND,) * n]
+        for _ in range(20):
+            u = list(rng.choice(J.gens))
+            u[rng.choice(outside)] += 1  # support outside the ideal's
+            qs.append(tuple(u))
+            u = list(rng.choice(J.gens))
+            k = rng.randrange(n)
+            u[k] = rng.choice((u[k] - (u[k] > 0), u[k] + 1, top + 1,
+                               EXPONENT_BOUND))
+            qs.append(tuple(u))
+            qs.append(tuple(rng.randint(0, top + 1) for _ in range(n)))
+            qs.append(tuple(rng.randint(0, 2) if k in outside else 0
+                            for k in range(n)))
+        cases.append((J, qs))
+    return cases
+
+
+def test_index_and_scan_membership_match_divisor_lookup():
+    built = scanned = 0
+    for J, qs in _index_cases():
+        expected = [_member_by_divisor_lookup(u, J.gens) for u in qs]
+        for u, member in zip(qs, expected):
+            fresh = MonomialIdeal(J.n, J.gens)  # no index yet: a scan
+            assert fresh._index is None
+            assert fresh.contains(u) == member, (J, u)
+            scanned += 1
+        J._exponent_index()
+        assert [J.contains(u) for u in qs] == expected, J
+        built += len(qs)
+    assert built == scanned > 4500
+
+
+def test_index_and_scan_contains_ideal_match_divisor_lookup():
+    cases = [J for J, _ in _index_cases()]
+    checked = 0
+    for J in cases:
+        for K in cases:
+            if J.n != K.n:
+                continue
+            expected = all(_member_by_divisor_lookup(u, J.gens)
+                           for u in K.gens)
+            assert MonomialIdeal(J.n, J.gens).contains_ideal(K) == expected
+            J._exponent_index()
+            assert J.contains_ideal(K) == expected, (J, K)
+            checked += 1
+    assert checked > 500
+
+
+def test_scans_build_the_index_once_they_cost_its_build():
+    # m^2 on 3 variables: build size n + sum |supp g| = 3 + 9, and a
+    # lookup takes n = 3 ANDs; a scan for x3^2 visits all six generators
+    J = MonomialIdeal.maximal(3) ** 2
+    assert J.gens[-1] == (0, 0, 2)
+    assert J.contains((1, 1, 0)) and J._index is None  # 2 visits, < 3
+    assert not J.contains((0, 0, 1)) and J._index is None  # degree screen
+    for credit in (9, 6, 3):
+        assert J.contains((0, 0, 2))
+        assert J._index == credit
+    assert J.contains((0, 0, 2))
+    assert isinstance(J._index, monomials._ExponentIndex)
+    assert J.contains((0, 3, 0)) and not J.contains((1, 0, 0))
+    # the zero ideal's scans visit nothing, so it never builds the index
+    Z = MonomialIdeal.zero(3)
+    for _ in range(10):
+        assert not Z.contains((1, 2, 3))
+    assert Z._index is None
+
+
+@pytest.fixture
+def index_builds(monkeypatch):
+    """Records the number of monomials of every exponent index built."""
+    sizes = []
+
+    class Spy(monomials._ExponentIndex):
+        __slots__ = ()
+
+        def __init__(self, gens):
+            sizes.append(len(gens))
+            super().__init__(gens)
+
+    monkeypatch.setattr(monomials, "_ExponentIndex", Spy)
+    return sizes
+
+
+def test_minimalization_by_index_and_by_scan_match_brute_force(index_builds):
+    rng = random.Random(808)
+    by_index = by_scan = 0
+    for t in range(120):
+        n = rng.randint(2, 9)
+        # few entries take the scan, many the index
+        count = rng.randint(2, 16) if t % 2 else rng.randint(60, 400)
+        raw = []
+        for _ in range(count):
+            u = [0] * n
+            for _ in range(rng.randint(1, 6)):
+                u[rng.randrange(n)] += 1
+            raw.append(tuple(u))
+        index_builds.clear()
+        J = MonomialIdeal(n, raw)
+        assert J.gens == _brute_minimal(raw), (n, raw)
+        if len({sum(u) for u in raw}) > 1:
+            by_index += bool(index_builds)
+            by_scan += not index_builds
+        _assert_rebuilds(J, raw[:10])
+        assert gradient(J).gens == _brute_minimal(
+            [divide_by_variable(u, k + 1) for u in J.gens
+             for k in range(n) if u[k]])
+    assert by_index > 30 and by_scan > 30, (by_index, by_scan)
+
+
+def test_monomials_must_be_integer_sequences():
+    built = I(2, "x1")
+    built._exponent_index()
+    for bad in ((True, 1), (0, False), (1.0, 1), ("1", 0), None, 3):
+        with pytest.raises(DomainError):
+            MonomialIdeal(2, [bad])
+        for J in (I(2, "x1"), built):
+            with pytest.raises(DomainError):
+                J.contains(bad)
 
 
 # ---------------------------------------------------------------------------

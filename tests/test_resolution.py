@@ -116,6 +116,28 @@ def test_mask_built_dual_matches_public_constructor():
     assert voids > 0  # some generator lies below b on all of supp b
 
 
+def _koszul_dual_scan(J, b):
+    """(w, D) of _koszul_dual by screening every generator: the tight set
+    {k : g_k = b_k > 0} of each generator g dividing x^b."""
+    w = sum(1 << k for k, e in enumerate(b) if e)
+    tight = [sum(1 << k for k in range(J.n) if g[k] == b[k] > 0)
+             for g in J.gens if all(gk <= bk for gk, bk in zip(g, b))]
+    return w, SimplicialComplex._from_masks(J.n, tight)
+
+
+def test_index_built_dual_matches_generator_scan():
+    ideals = _element_sweep() + [
+        MonomialIdeal(2, [(2**31 - 1, 0), (2**31 - 2, 1), (0, 2**31 - 1)]),
+        I(3, "x1^3*x2", "x1*x2^3", "x2^2*x3^2", "x3^4")]
+    checked = 0
+    for J in ideals:
+        for b in resolution._lcm_lattice(J, Caps()):
+            assert resolution._koszul_dual(J, b) == _koszul_dual_scan(J, b), \
+                (J, b)
+            checked += 1
+    assert checked > 3500
+
+
 def _homology_shaped(rng, n, mu):
     """mu distinct squarefree monomials of degrees 2, 3, 4, 2, ... in turn,
     the shape of the benchmark's Betti tables."""

@@ -139,6 +139,61 @@ def test_polymatroidal():
     assert not is_polymatroidal(I(2, "x1", "x2^2"))
 
 
+def _polymatroidal_oracle(I):
+    """The exchange property by trying every exchange on exponent lists."""
+    if I.alpha != I.omega:
+        return False
+    bases = set(I.gens)
+    for u in bases:
+        for v in bases:
+            for i in range(I.n):
+                if u[i] <= v[i]:
+                    continue
+                found = False
+                for j in range(I.n):
+                    if u[j] < v[j]:
+                        w = list(u)
+                        w[i] -= 1
+                        w[j] += 1
+                        if tuple(w) in bases:
+                            found = True
+                            break
+                if not found:
+                    return False
+    return True
+
+
+def test_polymatroidal_matches_exchange_oracle():
+    rng = random.Random(1212)
+    ideals = []
+    for _ in range(60):
+        n, d = rng.randint(2, 5), rng.randint(1, 4)
+        # polymatroidal: Veronese type, products of Veronese type, and
+        # transversal ideals (products of ideals of variables)
+        V = veronese_type(n, [d] + [rng.randint(0, d) for _ in range(n - 1)],
+                          d)
+        W = veronese_type(n, [2] + [rng.randint(0, 2) for _ in range(n - 1)],
+                          2)
+        T = MonomialIdeal.unit(n)
+        for _ in range(rng.randint(1, 3)):
+            T = T * MonomialIdeal(n, [variable(n, k + 1) for k in
+                                      rng.sample(range(n), rng.randint(1, n))])
+        ideals += [J for J in (V, V * W, T, gradient(V)) if J.is_proper
+                   and not J.is_zero]
+        # mostly not: seeded equigenerated ideals and generators dropped
+        # from polymatroidal ones
+        ideals.append(random_ideal(n, d, d, rng.randint(1, min(6, comb(
+            n + d - 1, d))), rng=rng))
+        if V.mu > 1:
+            ideals.append(MonomialIdeal(n, rng.sample(V.gens, V.mu - 1)))
+    seen = {True: 0, False: 0}
+    for J in ideals:
+        expected = _polymatroidal_oracle(J)
+        assert is_polymatroidal(J) == expected, J
+        seen[expected] += 1
+    assert min(seen.values()) > 40, seen
+
+
 def test_componentwise_polymatroidal():
     assert is_componentwise_polymatroidal(I(2, "x1^2", "x1*x2", "x2^3"))
     assert not is_componentwise_polymatroidal(I(4, "x1*x2", "x3*x4"))
