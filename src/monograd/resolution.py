@@ -2,23 +2,41 @@
 
 One walk over the lcm lattice of the minimal generators gives the graded
 Betti numbers, since only lattice degrees b carry any (Gasharov-Peeva-
-Welker, 1999): beta_{i,b}(S/I) = dim H~_{i-2}(K^b) for the upper Koszul
-complex K^b = {F subseteq supp b : x^(b-F) in I} (Miller-Sturmfels, Thm
-1.34).  Each element has two exact presentations of this homology:
+Welker, 1999).  For b != 0, with w = supp b and G_b the generators
+dividing x^b, each g in G_b has the tight set T_g = {k : g_k = b_k > 0},
+and beta_{i,b}(S/I) = dim H~_{i-2}(C) for the Taylor complex restricted
+below b, C = {S subseteq G_b : the union of the T_g, g in S, is not w}.
+The family of the T_g, one member per generator (a set may repeat),
+decides most elements by three rules, s counting the peels made:
 
-- the Alexander dual D of K^b on supp b, k = |supp b| vertices at most:
-  beta_{i,b} = dim H~_{k-i-1}(D).  Its minimal nonfaces N_1..N_m are the
-  sets {l : g_l = b_l > 0} of the generators g dividing x^b, read off
-  the exponent index of G(I); for squarefree I, D is Delta_W, W = supp b,
-  and the formula is Hochster's.
+- zero: if some member is empty (its g is a cone apex) or some vertex
+  of w is in no member (C is a full simplex), C is contractible;
+- sphere: if one member is left, it equals w, and C is homotopy
+  equivalent to an (s-1)-sphere: beta_{s+1,b} = 1 and every other
+  beta_{i,b} is zero;
+- peel: if a member N has a vertex in no other member, C is homotopy
+  equivalent to the suspension of the complex of the other members less
+  N below w - N, so peel N (the one holding the lowest such vertex) and
+  add 1 to s; an empty w is the zero rule again.
+
+When no member has a private vertex, the family is cut to its antichain
+(the minimal nonfaces of D below) and peeled again.  What is left then
+has no singleton, and goes, with i shifted by s, to the smaller of two
+exact presentations of its homology:
+
+- the Alexander dual D on w of the upper Koszul complex K^b = {F
+  subseteq supp b : x^(b-F) in I} (Miller-Sturmfels, Thm 1.34), k = |w|
+  vertices: beta_{i,b} = dim H~_{k-i-1}(D).  Its minimal nonfaces
+  N_1..N_m are the minimal tight sets; for squarefree I, D is Delta_W,
+  W = supp b, and the formula is Hochster's.
 - the nerve Gamma_b = {S subseteq [m] : the union of the N_j, j in S, is
-  not supp b} of the facets supp b - N_j of the Alexander dual of D,
-  that is the sets of generators whose lcm is not x^b: beta_{i,b} =
-  dim H~_{i-2}(Gamma_b), by Alexander duality and the nerve theorem.
+  not w} of the facets w - N_j of the Alexander dual of D, m vertices:
+  beta_{i,b} = dim H~_{i-2}(Gamma_b), by Alexander duality and the nerve
+  theorem.
 
-The walk takes the nerve when D is not void and m is smaller than the
-number of vertices of D (supp b less the singleton nonfaces), and D
-otherwise; the bottom element b = 0 always takes D.  An independent
+The walk takes the nerve when m < k, and D otherwise; at s = 0 these are
+the presentations of b itself.  The exponent index of G(I) gives the
+tight sets, and the bottom b = 0 carries beta_{0,0} = 1.  An independent
 Koszul-strand oracle computes the same Tor dimensions, and polarization
 is a public utility and oracle.
 
@@ -33,11 +51,13 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations, compress, count
+from operator import or_
 from typing import Dict, List, Optional, Tuple
 
 from .caps import Caps, default_caps
-from .complexes import SimplicialComplex, _profile
+from .complexes import SimplicialComplex, _antichain, _profile
 from .errors import DomainError, ResourceCapError
 from .exact_rank import sparse_rank
 from .gradient import gradient_chain
@@ -74,6 +94,8 @@ class BettiTable:
         return max(j - i + 1 for (i, j) in self.entries)
 
     def projective_dimension(self) -> int:
+        if not self.entries:
+            raise DomainError("empty Betti table has no projective dimension")
         return max(i - 1 for (i, j) in self.entries)
 
 
@@ -92,28 +114,42 @@ def _lcm_lattice(I: MonomialIdeal, caps: Caps) -> set:
     return lattice
 
 
+def _tight_columns(I: MonomialIdeal, b):
+    """(G_b, {1 << k: A_k for k in supp b}): the mask of the generators
+    dividing x^b, and for each k the mask of those tight at k, that is
+    with g_k = b_k, both read off the exponent index."""
+    index = I._exponent_index()
+    divisors = index.divisors(b)
+    return divisors, {1 << k: divisors & index.exact[k][b[k]]
+                      for k in compress(count(), b)}
+
+
+def _tight_sets(columns) -> dict:
+    """{g: T_g}: the tight set {k : g_k = b_k > 0} of each generator bit g
+    in some column, as a mask."""
+    tight = {}
+    for v, a in columns.items():
+        while a:
+            g = a & -a
+            tight[g] = tight.get(g, 0) | v
+            a ^= g
+    return tight
+
+
 def _koszul_dual(I: MonomialIdeal, b) -> Tuple[int, SimplicialComplex]:
     """(w, D) for a lattice element b: w is the mask of supp b, and D
     restricted to w is the Alexander dual of K^b.
 
     x^(b-F) lies in I iff some generator g dividing x^b has g_k < b_k for
-    every k in F, so the minimal nonfaces of D are the sets
-    {k : g_k = b_k > 0} of those g: for squarefree I the supports of the
-    g inside W = supp b, which is Hochster's Delta_W.  The exponent index
-    gives those g as a mask G_b, and G_b & exact[k][b_k] has k in the set.
+    every k in F, so the minimal nonfaces of D are the minimal tight sets
+    of those g, the empty set if one is tight nowhere: for squarefree I
+    the supports of the g inside W = supp b, which is Hochster's Delta_W.
     """
-    index = I._exponent_index()
-    divisors = index.divisors(b)
-    tight = {}  # generator bit -> its nonface {k : g_k = b_k > 0}
-    for k in compress(count(), b):
-        a = divisors & index.exact[k][b[k]]
-        while a:
-            g = a & -a
-            tight[g] = tight.get(g, 0) | 1 << k
-            a ^= g
+    divisors, columns = _tight_columns(I, b)
+    tight = list(_tight_sets(columns).values())
     if len(tight) < divisors.bit_count():
-        tight[0] = 0  # a divisor tight nowhere: the empty set is a nonface
-    return _support_mask(b), SimplicialComplex._from_masks(I.n, tight.values())
+        tight.append(0)
+    return _support_mask(b), SimplicialComplex._from_masks(I.n, tight)
 
 
 def _nerve_faces(w: int, nonfaces, top: Optional[int] = None):
@@ -141,33 +177,69 @@ def _nerve_faces(w: int, nonfaces, top: Optional[int] = None):
 
 
 def _element_betti(I: MonomialIdeal, b, most: Optional[int] = None):
-    """The Betti numbers beta_{i,b}(S/I) of a lattice element b, from the
-    smaller presentation of the dual D of K^b on w = supp b.
+    """The Betti numbers beta_{i,b}(S/I) of a lattice element b.
 
     Without `most`, returns {i: beta_{i,b}} over the nonzero ones; with
-    it, the least i <= most with beta_{i,b} != 0, or None.  D has m
-    minimal nonfaces and k' vertices (the bits of w less its singleton
-    nonfaces); its nerve Gamma_b is used when D is not void and m < k'.
+    it, the least i <= most with beta_{i,b} != 0, or None.  The rules of
+    the module docstring run on the columns A_k of the tight sets: a
+    member is a generator bit, and a vertex k is private to a member when
+    A_k is that one bit.  What is left after s peels goes to the smaller
+    presentation, the nerve when it has fewer vertices (members) than
+    the dual (the bits of w), with i shifted by s.
     """
-    w, dual = _koszul_dual(I, b)
+    if not any(b):  # the bottom: beta_{0,0} = 1, the free part of S/I
+        return {0: 1} if most is None else (0 if most >= 0 else None)
+    members, columns = _tight_columns(I, b)
+    s = 0
+    while most is None or s < most:  # every i here is at least s + 1
+        masks = columns.values()
+        if 0 in masks or reduce(or_, masks, 0) != members:
+            break  # a vertex in no member or a member tight nowhere: a cone
+        if not members & (members - 1):  # one member, equal to w
+            return {s + 1: 1} if most is None else s + 1
+        for g in masks:
+            if not g & (g - 1):
+                # g holds the lowest private vertex: C is the suspension
+                # of the complex of the other members less g's
+                columns = {v: a for v, a in columns.items() if not a & g}
+                members ^= g
+                s += 1
+                break
+        else:
+            tight = _tight_sets(columns)
+            minimal = _antichain(tight.values())
+            if len(minimal) == len(tight):
+                return _presentation_betti(I.n, sum(columns), minimal, s,
+                                           most)
+            # keep one member per minimal tight set and peel again
+            keep = {N: g for g, N in tight.items()}
+            members = sum(keep[N] for N in minimal)
+            columns = {v: a & members for v, a in columns.items()}
+    return {} if most is None else None
+
+
+def _presentation_betti(n: int, w: int, nonfaces, s: int,
+                        most: Optional[int]):
+    """_element_betti on an antichain of nonempty nonfaces covering w, no
+    vertex in only one of them, after s peels: the dual D on w, or its
+    nerve Gamma when it has fewer vertices."""
     k = w.bit_count()
-    nonfaces = dual.nonface_masks
-    # a singleton nonface is a bit of w that is not a vertex of D
-    vertices = w & ~sum(N for N in nonfaces if not N & (N - 1))
-    if dual.void or len(nonfaces) >= vertices.bit_count():
-        # i = k - s - 1 for H~_s(D)
+    if len(nonfaces) >= k:
+        # i = k - t - 1 + s for H~_t(D)
+        dual = SimplicialComplex._from_masks(n, nonfaces)
         if most is None:
-            return {k - s - 1: h for s, h in
-                    dual.homology_profile(within=vertices).items()}
-        s = dual.top_nonzero_homology(within=vertices,
-                                      stop_below=k - most - 2)
-        return None if s is None else k - s - 1
-    # i = t + 2 for H~_t(Gamma_b); below its top cardinality `most`, the
-    # skeleton enumerated has the homology of Gamma_b
-    profile = _profile(_nerve_faces(w, nonfaces, most))
+            return {k - t - 1 + s: h for t, h in
+                    dual.homology_profile(within=w).items()}
+        t = dual.top_nonzero_homology(within=w, stop_below=k - most + s - 2)
+        return None if t is None else k - t - 1 + s
+    # i = t + 2 + s for H~_t(Gamma); below its top cardinality most - s,
+    # the skeleton enumerated has the homology of Gamma
+    profile = _profile(_nerve_faces(w, nonfaces,
+                                    None if most is None else most - s))
     if most is None:
-        return {t + 2: h for t, h in profile.items()}
-    return min((t + 2 for t in profile if t + 2 <= most), default=None)
+        return {t + 2 + s: h for t, h in profile.items()}
+    return min((t + 2 + s for t in profile if t + 2 + s <= most),
+               default=None)
 
 
 def _lattice_betti(I: MonomialIdeal, caps: Caps,

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -31,6 +32,14 @@ def test_square_edge_ideal_betti_table():
         assert t.ideal_entries() == {(0, 2): 4, (1, 3): 4, (2, 4): 1}
         assert t.regularity() == 2
         assert t.projective_dimension() == 2
+
+
+def test_empty_betti_table_raises_domain_error():
+    empty = resolution.BettiTable({})
+    for read in (empty.regularity, empty.projective_dimension):
+        with pytest.raises(DomainError):
+            read()
+    assert resolution.BettiTable({(1, 2): 1}).projective_dimension() == 0
 
 
 def test_hochster_betti_single_values():
@@ -172,6 +181,39 @@ def _by_nerve(J, b):
     return {t + 2: h for t, h in _profile(faces).items()}
 
 
+def _peel_reference(J, b):
+    """The peel rules of _element_betti replayed on vertex sets, one member
+    per generator dividing x^b: ("zero", s) or ("sphere", s) for an
+    element they decide after s peels, ("left", s, w, F) for one left on
+    the antichain F covering w."""
+    w = {k for k in range(J.n) if b[k]}
+    family = [frozenset(k for k in w if g[k] == b[k]) for g in J.gens
+              if all(gk <= bk for gk, bk in zip(g, b))]
+    s = 0
+    while True:
+        if frozenset() in family or set().union(*family) != w:
+            return "zero", s
+        if len(family) == 1:
+            return "sphere", s
+        owners = {v: [N for N in family if v in N] for v in w}
+        private = [v for v in sorted(w) if len(owners[v]) == 1]
+        if not private:
+            minimal = {N for N in family if not any(M < N for M in family)}
+            if len(minimal) == len(family):
+                return "left", s, w, minimal
+            family = list(minimal)
+            continue
+        N = owners[private[0]][0]
+        w = w - N
+        family.remove(N)
+        family = [M - N for M in family]
+        s += 1
+
+
+def _mask(vertices):
+    return sum(1 << k for k in vertices)
+
+
 @pytest.fixture
 def nerve_spy(monkeypatch):
     """Records the union w of every nerve the lattice walk enumerates."""
@@ -186,6 +228,27 @@ def nerve_spy(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def face_spy(monkeypatch):
+    """Records ("nerve", w) for every nerve the lattice walk enumerates and
+    ("dual", within) for every face enumeration of a SimplicialComplex."""
+    calls = []
+    nerve_faces = resolution._nerve_faces
+    faces_by_cardinality = SimplicialComplex.faces_by_cardinality
+
+    def nerve(w, nonfaces, top=None):
+        calls.append(("nerve", w))
+        return nerve_faces(w, nonfaces, top)
+
+    def dual(self, within=None):
+        calls.append(("dual", within))
+        return faces_by_cardinality(self, within)
+
+    monkeypatch.setattr(resolution, "_nerve_faces", nerve)
+    monkeypatch.setattr(SimplicialComplex, "faces_by_cardinality", dual)
+    return calls
+
+
 def test_nerve_and_dual_presentations_agree(nerve_spy):
     nerves = duals = 0
     for J in _element_sweep():
@@ -196,31 +259,33 @@ def test_nerve_and_dual_presentations_agree(nerve_spy):
             expected = _by_dual(J, b)
             if b != (0,) * J.n and not dual.void:
                 assert _by_nerve(J, b) == expected, (J, b)
-            singles = [N for N in dual.nonface_masks if N.bit_count() == 1]
-            vertices = w.bit_count() - len(singles)
-            nerve = not dual.void and len(dual.nonface_masks) < vertices
             nerve_spy.clear()
             assert resolution._element_betti(J, b) == expected, (J, b)
-            assert nerve_spy == ([w] if nerve else []), (J, b)
+            # only an element the peel rules leave reaches a presentation,
+            # and the nerve is taken on the reduced w' when it is smaller
+            left = _peel_reference(J, b) if any(b) else ("bottom",)
+            nerve = left[0] == "left" and len(left[3]) < len(left[2])
+            assert nerve_spy == ([_mask(left[2])] if nerve else []), (J, b)
             nerves += nerve
-            duals += not nerve
-    assert nerves > 1000 and duals > 2500  # 1030 and 2539 seen
+            duals += left[0] == "left" and not nerve
+    assert nerves > 10 and duals > 200  # 14 and 254 seen
 
 
 def test_element_betti_edge_cases(nerve_spy):
-    # (ideal, element, expected profile, the nerve is chosen)
+    # (ideal, element, expected profile, the nerve is chosen); the peel
+    # rules decide every one of these, so no nerve is enumerated
     cases = [
         # the bottom: beta_{0,0} = 1, and its nerve would be void
         (I(3, "x1*x2", "x3^2"), (0, 0, 0), {0: 1}, False),
         # a void dual: x1*x2 divides x^b and meets no exponent of b
         (I(2, "x1*x2", "x1^2", "x2^2"), (2, 2), {}, False),
         # one generator of degree 4 on 3 variables: the boundary of a
-        # 2-simplex against the nerve {emptyset}
-        (I(3, "x1^2*x2*x3"), (2, 1, 1), {1: 1}, True),
+        # 2-simplex against the nerve {emptyset}, and a sphere at once
+        (I(3, "x1^2*x2*x3"), (2, 1, 1), {1: 1}, False),
         # m = 1 and N = w = {1}: the dual {emptyset} has no vertices
         (I(2, "x1^3", "x2"), (3, 0), {1: 1}, False),
         # every nonface a singleton: the dual is {emptyset}, the nerve
-        # the boundary of a 2-simplex
+        # the boundary of a 2-simplex; two peels, then a sphere
         (I(3, "x1^2", "x2^3", "x3"), (2, 3, 1), {3: 1}, False),
     ]
     for J, b, expected, nerve in cases:
@@ -237,6 +302,104 @@ def test_element_betti_edge_cases(nerve_spy):
     # the nerve of an empty nonface list is {emptyset}, so a void dual
     # must not take it
     assert _profile(resolution._nerve_faces(w, ())) == {-1: 1}
+
+
+def _wide_non_squarefree_sweep():
+    """30 seeded non-squarefree ideals on 4-7 variables and their
+    gradients."""
+    rng = random.Random(3141)
+    sweep = [random_ideal(4 + t % 4, 2, 4, rng.randint(3, 7), rng=rng)
+             for t in range(30)]
+    return sweep + [gradient(J) for J in sweep]
+
+
+def test_peeled_elements_match_both_presentations(face_spy):
+    routes = Counter()
+    for J in _element_sweep() + _wide_non_squarefree_sweep():
+        if J.is_unit:
+            continue
+        for b in resolution._lcm_lattice(J, Caps()):
+            if not any(b):
+                continue
+            w, dual = resolution._koszul_dual(J, b)
+            expected = _by_dual(J, b)
+            if not dual.void:
+                assert _by_nerve(J, b) == expected, (J, b)
+            face_spy.clear()
+            assert resolution._element_betti(J, b) == expected, (J, b)
+            route = _peel_reference(J, b)
+            if route[0] == "left":
+                routes["partial peel" if route[1] else "no peel"] += 1
+                _, _, w_left, minimal = route
+                kind = "nerve" if len(minimal) < len(w_left) else "dual"
+                assert face_spy == [(kind, _mask(w_left))], (J, b)
+            else:
+                # a decided element enumerates no face
+                assert face_spy == [], (J, b)
+                assert expected == ({route[1] + 1: 1}
+                                    if route[0] == "sphere" else {}), (J, b)
+                routes[route[0]] += 1
+            k = w.bit_count()
+            for most in range(k + 2):
+                low = [i for i in expected if i <= most]
+                assert resolution._element_betti(J, b, most) == \
+                    (min(low) if low else None), (J, b, most)
+    # 4907 spheres, 846 zeros, 315 partial peels and 105 unpeeled seen
+    assert routes["sphere"] > 4000 and routes["zero"] > 600, routes
+    assert routes["partial peel"] > 250 and routes["no peel"] > 80, routes
+
+    # (ideal, element, profile, route by _peel_reference, presentation)
+    pinned = [
+        # a single generator: one member equal to w
+        (I(3, "x1^2*x2"), (2, 1, 0), {1: 1}, ("sphere", 0), None),
+        # two disjoint generators: a peel, then a sphere at i = 2
+        (I(4, "x1*x2", "x3*x4"), (1, 1, 1, 1), {2: 1}, ("sphere", 1), None),
+        # a generator tight nowhere: x1*x2 below (2, 2) is a cone apex
+        (I(2, "x1*x2", "x1^2", "x2^2"), (2, 2), {}, ("zero", 0), None),
+        # duplicated tight sets {2}, {2}: after peeling {1, 3} neither has
+        # a private vertex, and the antichain {2} is a sphere
+        (I(3, "x1*x2^2", "x2^2*x3", "x1^2*x3^2"), (2, 2, 2), {2: 1},
+         ("sphere", 1), None),
+        # after peeling {2}, {1}, {1, 3}, {3} leave no private vertex;
+        # the antichain {1}, {3} peels on to a sphere
+        (I(3, "x1*x2", "x1*x3", "x2*x3", "x2^3"), (1, 3, 1), {3: 1},
+         ("sphere", 2), None),
+        # a partial peel that ends on the dual (4 members on 3 vertices)
+        (I(4, "x2*x3", "x2*x4^2", "x1^3*x4", "x1*x3*x4^2"), (3, 1, 1, 2),
+         {3: 2}, ("left", 1), "dual"),
+        # a partial peel that ends on the nerve (3 members on 4 vertices)
+        (I(5, "x1*x2", "x1*x4*x5^2", "x2*x4*x5^2", "x3^3*x5", "x4^2*x5^2"),
+         (1, 1, 3, 1, 2), {3: 2}, ("left", 1), "nerve"),
+    ]
+    for J, b, expected, route, presentation in pinned:
+        assert b in resolution._lcm_lattice(J, Caps())
+        assert _by_dual(J, b) == expected, (J, b)
+        assert _peel_reference(J, b)[:2] == route, (J, b)
+        face_spy.clear()
+        assert resolution._element_betti(J, b) == expected, (J, b)
+        if presentation is None:
+            assert face_spy == [], (J, b)
+        else:
+            # the presentation is built on the reduced w', not on supp b
+            w_left = _mask(_peel_reference(J, b)[2])
+            assert face_spy == [(presentation, w_left)], (J, b)
+            assert w_left != resolution._koszul_dual(J, b)[0]
+
+
+def test_most_lattice_elements_enumerate_no_face(face_spy):
+    rng = random.Random(2718)
+    ideals = [_homology_shaped(rng, 8 + t % 3, 3 + t % 8) for t in range(20)]
+    elements = faceless = 0
+    for J in ideals + [gradient(J) for J in ideals]:
+        for b in resolution._lcm_lattice(J, Caps()):
+            if any(b):
+                face_spy.clear()
+                resolution._element_betti(J, b)
+                elements += 1
+                faceless += not face_spy
+    # 1808 of 1974 seen: a walk without the peel enumerates faces for all
+    assert elements > 1500 and faceless >= 0.85 * elements, \
+        (faceless, elements)
 
 
 def test_truncated_element_betti_reads_the_full_profile():
