@@ -14,8 +14,9 @@ from .gradient import (gradient, gradient_chain, gradient_via_colon,
                        iterated_gradient)
 from .graphs import (QuadraticDecomposition, RegGapFamily, SimpleGraph,
                      complementary_edge_ideal, edge_ideal, family_overlap_run,
-                     family_reg_gap, gradient_power_closed_form, is_connected,
-                     peel_order, quadratic_decomposition, underlying_graph)
+                     family_reg_gap, gradient_power_closed_form,
+                     gradient_power_closed_forms, is_connected, peel_order,
+                     quadratic_decomposition, underlying_graph)
 from .ioformats import (ideal_to_json, parse_generators, parse_graph,
                         parse_ideal, parse_monomial_string, serialize_graph,
                         serialize_ideal)

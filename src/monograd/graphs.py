@@ -2,14 +2,21 @@
 
 Covers edge ideals, complementary edge ideals, connectivity and peel
 orders, the x_v*P + J decomposition of quadratic squarefree ideals, the
-closed-form iterated gradient of powers, and two explicit families
+closed-form iterated gradients of powers, and two explicit families
 realizing prescribed regularity gaps.
+
+Edge ideals, complementary edge ideals and the P and J of a
+decomposition are built from distinct squarefree monomials of one degree,
+which are minimal, so they skip the constructor's checks.  The closed
+forms of grad^l(I^k) are read off one table of exponent-tuple products
+per decomposition.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from operator import add
 from typing import FrozenSet, List, Optional, Tuple
 
 from .caps import default_caps
@@ -41,14 +48,33 @@ class SimpleGraph:
         return sorted(tuple(sorted(e)) for e in self.edges)
 
 
+def _equigenerated(n: int, d: int, masks: dict) -> MonomialIdeal:
+    """The ideal on distinct monomials u of degree d, given as {u: support
+    mask of u}.  They are minimal, and sorted lexicographically descending
+    they are in canonical order."""
+    return MonomialIdeal._trusted(n, {u: (d, masks[u])
+                                      for u in sorted(masks, reverse=True)},
+                                  minimal=True)
+
+
+def _squarefree(n: int, d: int, masks) -> MonomialIdeal:
+    """The ideal on distinct squarefree monomials of degree d, given by
+    their support masks."""
+    return _equigenerated(n, d, {tuple(m >> i & 1 for i in range(n)): m
+                                 for m in masks})
+
+
+def _mask(vertices) -> int:
+    return sum(1 << (v - 1) for v in vertices)
+
+
 def edge_ideal(G: SimpleGraph) -> MonomialIdeal:
     """Quadratic squarefree ideal on the edges of G."""
     if not G.edges:
         warnings.warn("edgeless graph: edge ideal is the zero ideal",
                       stacklevel=2)
         return MonomialIdeal.zero(G.n)
-    return MonomialIdeal(G.n, [tuple(int(v in e) for v in range(1, G.n + 1))
-                               for e in G.edge_pairs()])
+    return _squarefree(G.n, 2, map(_mask, G.edges))
 
 
 def complementary_edge_ideal(G: SimpleGraph) -> MonomialIdeal:
@@ -59,9 +85,8 @@ def complementary_edge_ideal(G: SimpleGraph) -> MonomialIdeal:
         warnings.warn("edgeless graph: complementary edge ideal is zero",
                       stacklevel=2)
         return MonomialIdeal.zero(G.n)
-    return MonomialIdeal(G.n, [
-        tuple(int(v not in e) for v in range(1, G.n + 1))
-        for e in G.edge_pairs()])
+    full = (1 << G.n) - 1
+    return _squarefree(G.n, G.n - 2, [full ^ _mask(e) for e in G.edges])
 
 
 def is_connected(G: SimpleGraph) -> bool:
@@ -149,41 +174,79 @@ def quadratic_decomposition(I: MonomialIdeal) -> Optional[QuadraticDecomposition
         rest_edges = [e for e in G.edge_pairs() if v not in e]
         # J subseteq P iff every remaining edge touches a neighbor of v
         if all(a in nbrs or b in nbrs for a, b in rest_edges):
-            P = MonomialIdeal(I.n, [variable(I.n, w) for w in sorted(nbrs)])
+            P = _squarefree(I.n, 1, [1 << (w - 1) for w in nbrs])
             J = edge_ideal(SimpleGraph(I.n, rest_edges)) if rest_edges \
                 else MonomialIdeal.zero(I.n)
             return QuadraticDecomposition(v, P, J)
     return None
 
 
+def gradient_power_closed_forms(dec: QuadraticDecomposition, n: int,
+                                k: int) -> Tuple[MonomialIdeal, ...]:
+    """The closed forms of grad^l(I^k) for l = 0..2k, with I = x_v*P + J:
+
+        l < k:   sum over r = 0..l of x_v^(k-r) N^r P^(k-l)
+                 + sum over s = l+1..k of x_v^(k-s) N^l P^(k-s) J^(s-l)
+        l >= k:  m^(2k-l)
+
+    where N is generated by the variables other than x_v, so that m^p is
+    the sum of the x_v^a N^(p-a).  Each power and each product of powers
+    is formed once, as exponent tuples with their support masks.  Every
+    term of a level is generated in degree 2k - l, so the union of its
+    product sets is its minimal generating set.
+    """
+    if k < 1:
+        raise DomainError("k must be >= 1")
+    v, unit = dec.v, (0,) * n
+
+    def powers(masks):  # X^0..X^k as {u: support mask of u}
+        out = [{unit: 0}]
+        for _ in range(k):
+            out.append({tuple(map(add, u, g)): m | gm
+                        for u, m in out[-1].items() for g, gm in masks})
+        return out
+
+    factors = (powers([(variable(n, v), 1 << (v - 1))]),
+               powers([(variable(n, i), 1 << (i - 1))
+                       for i in range(1, n + 1) if i != v]),
+               powers(list(zip(dec.P.gens, dec.P._masks))),
+               powers(list(zip(dec.J.gens, dec.J._masks))))
+    products = {(0, 0, 0, 0): {unit: 0}}
+
+    def product(key):  # x_v^a N^b P^c J^e for key = (a, b, c, e)
+        if key not in products:
+            t = max(i for i, a in enumerate(key) if a)  # the last factor
+            products[key] = {
+                tuple(map(add, u, w)): m | wm
+                for u, m in product(key[:t] + (0,) * (4 - t)).items()
+                for w, wm in factors[t][key[t]].items()}
+        return products[key]
+
+    levels = []
+    for ell in range(k):
+        levels.append([(k - r, r, k - ell, 0) for r in range(ell + 1)]
+                      + [(k - s, ell, k - s, s - ell)
+                         for s in range(ell + 1, k + 1)])
+    for p in range(k, -1, -1):
+        levels.append([(a, p - a, 0, 0) for a in range(p + 1)])
+    forms = []
+    for ell, keys in enumerate(levels):
+        masks = {}
+        for key in keys:
+            masks.update(product(key))
+        forms.append(_equigenerated(n, 2 * k - ell, masks))
+    return tuple(forms)
+
+
 def gradient_power_closed_form(dec: QuadraticDecomposition, n: int,
                                k: int, ell: int) -> MonomialIdeal:
-    """Closed form for the ell-th gradient of the k-th power of
-    I = x_v*P + J, evaluated as explicit ideal arithmetic."""
+    """The closed form of the ell-th gradient of the k-th power of
+    I = x_v*P + J (see gradient_power_closed_forms)."""
     if k < 1:
         raise DomainError("k must be >= 1")
     if not 0 <= ell <= 2 * k:
         raise DomainError(f"ell={ell} out of range 0..{2*k}")
-    if k <= ell:
-        return MonomialIdeal.maximal(n) ** (2 * k - ell)
-    v, P, J = dec.v, dec.P, dec.J
-    # single variables are minimal sets, canonical in increasing index
-    xv = MonomialIdeal._trusted(n, {variable(n, v): (1, 1 << (v - 1))},
-                                minimal=True)
-    nn = MonomialIdeal._trusted(n, {variable(n, i): (1, 1 << (i - 1))
-                                    for i in range(1, n + 1) if i != v},
-                                minimal=True)
-    if ell == 0:
-        out = MonomialIdeal.zero(n)
-        for r in range(k + 1):
-            out = out + (xv ** (k - r)) * (P ** (k - r)) * (J ** r)
-        return out
-    out = MonomialIdeal.zero(n)
-    for r in range(ell + 1):
-        out = out + (xv ** (k - r)) * (nn ** r) * (P ** (k - ell))
-    for s in range(ell + 1, k + 1):
-        out = out + (xv ** (k - s)) * (nn ** ell) * (P ** (k - s)) * (J ** (s - ell))
-    return out
+    return gradient_power_closed_forms(dec, n, k)[ell]
 
 
 # ---------------------------------------------------------------------------

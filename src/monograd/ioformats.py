@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import json
 import re
+from itertools import repeat
 from typing import List, Tuple, Union
 
-from .errors import DomainError
+from .errors import DomainError, ExponentOverflowError
 from .graphs import SimpleGraph
-from .monomials import Monomial, MonomialIdeal
+from .monomials import (EXPONENT_BOUND, Monomial, MonomialIdeal,
+                        _support_mask)
 
 _FACTOR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
 
@@ -54,9 +56,18 @@ def parse_monomial_string(s: str, n: int) -> Monomial:
     return tuple(exps)
 
 
+def _is_exponent_list(g) -> bool:
+    """Every entry an int (not a bool) and nonnegative."""
+    kinds = set(map(type, g))
+    return ((kinds <= {int} or bool not in kinds
+             and all(map(issubclass, kinds, repeat(int))))
+            and not (g and min(g) < 0))
+
+
 def parse_generators(doc: Union[str, dict]) -> Tuple[int, List[Monomial]]:
     """(n, raw generators) of a JSON ideal document (string or parsed
-    dict), validated but not minimalized."""
+    dict), validated but not minimalized: each exponent is checked once,
+    the bound on exponents included."""
     if isinstance(doc, str):
         doc = json.loads(doc)
     if not isinstance(doc, dict) or "n" not in doc or "gens" not in doc:
@@ -70,18 +81,22 @@ def parse_generators(doc: Union[str, dict]) -> Tuple[int, List[Monomial]]:
             if len(g) != n:
                 raise DomainError(f"exponent list {list(g)} has length "
                                   f"{len(g)}, expected {n}")
-            if not all(_is_int(e) and e >= 0 for e in g):
+            if not _is_exponent_list(g):
                 raise DomainError(f"negative or non-integer exponent in {list(g)}")
             gens.append(tuple(g))
         else:
             raise DomainError(f"generator {g!r} is neither an exponent list "
                               "nor a string")
+    if n and gens and max(map(max, gens)) > EXPONENT_BOUND:
+        raise ExponentOverflowError(f"exponent exceeds bound {EXPONENT_BOUND}")
     return n, gens
 
 
 def parse_ideal(doc: Union[str, dict]) -> MonomialIdeal:
     """MonomialIdeal from a JSON document (string or parsed dict)."""
-    return MonomialIdeal(*parse_generators(doc))
+    n, gens = parse_generators(doc)
+    return MonomialIdeal._trusted(n, {u: (sum(u), _support_mask(u))
+                                      for u in gens})
 
 
 def serialize_ideal(I: MonomialIdeal) -> dict:

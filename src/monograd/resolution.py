@@ -487,17 +487,25 @@ class DifferentialLinearReport:
 
 def has_differential_linear_resolution(
         I: MonomialIdeal, engine: str = "auto",
-        caps: Optional[Caps] = None) -> DifferentialLinearReport:
-    """True iff every iterated gradient up to alpha has linear resolution."""
+        caps: Optional[Caps] = None,
+        _memo: Optional[Dict] = None) -> DifferentialLinearReport:
+    """True iff every iterated gradient up to alpha has linear resolution.
+    The memo, if given, holds the regularity of each level by its
+    generators, for callers that test many ideals with one engine and caps.
+    """
     if I.is_zero or I.is_unit:
         raise DomainError("test needs a proper nonzero ideal")
     if I.alpha != I.omega:
         raise DomainError("differential linear resolution requires an "
                           "equigenerated ideal")
+    memo = _memo if _memo is not None else {}
     a = I.alpha
     levels = []
     for ell, J in enumerate(gradient_chain(I, a)):
-        r = 0 if J.is_unit else regularity(J, engine=engine, caps=caps)
+        if J.gens not in memo:
+            memo[J.gens] = 0 if J.is_unit else regularity(J, engine=engine,
+                                                          caps=caps)
+        r = memo[J.gens]
         ok = (r == a - ell) and (J.is_unit or J.omega == a - ell)
         levels.append((ell, r, ok, J))
     return DifferentialLinearReport(all(ok for _, _, ok, _ in levels),

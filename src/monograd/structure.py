@@ -1,7 +1,12 @@
 """Decision procedures for structural classes of monomial ideals:
 linear quotients, vertex splittability, (componentwise) polymatroidality,
-and (strong) stability.  The colon tables of the linear-quotients search
+and (strong) stability.  The colon rows of the linear-quotients search
 and the polymatroidal test read the exponent index of G(I).
+
+The linear-quotients search checks the stored order of G(I) first, in
+one pass; only when that order is not a witness does it backtrack.  Both
+decide the admissibility of a generator after a prefix by one routine,
+_colon_size, on the generator's colon row.
 """
 
 from __future__ import annotations
@@ -9,7 +14,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate, compress, count, repeat
+from itertools import compress, count, repeat
 from operator import and_, getitem, or_, xor
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -49,28 +54,34 @@ class QuotientOrder:
     colon_sizes: Tuple[int, ...]
 
 
-def _colon_masks(gens, index: Optional[_ExponentIndex] = None):
-    """Colon tables indexed by candidate i and variable k; each entry is a
-    bitmask over the generators u_j.
+def _colon_row(index: _ExponentIndex, u: tuple):
+    """The colon row of candidate u: the pairs (step_k, cover_k) over the
+    variables x_k with step_k nonzero, each a bitmask over the generators
+    u_j of the exponent index.
 
-    cover[i][k] has bit j set when x_k divides u_j : u_i, i.e.
-    u_j[k] > u_i[k]; step[i][k] has bit j set when u_j : u_i is exactly x_k,
-    i.e. u_j[k] = u_i[k] + 1 and no other variable covers u_j.  Both are
-    read off the exponent index of gens (built here unless given): the
-    u_j above u_i at x_k are the complement of index.le[k][u_i[k]], those
-    exactly one above are index.exact[k][u_i[k] + 1].
+    cover_k has bit j set when x_k divides u_j : u, i.e. u_j[k] > u[k];
+    step_k has bit j set when u_j : u is exactly x_k, i.e. u_j[k] =
+    u[k] + 1 and no other variable covers u_j.  The u_j above u at x_k
+    are the complement of index.le[k][u[k]], those exactly one above are
+    index.exact[k][u[k] + 1].
     """
-    index = index or _ExponentIndex(gens)
-    cover, step = [], []
-    for u in gens:
-        cov = list(map(xor, repeat(index.full), map(getitem, index.le, u)))
-        # p | s: the generators covered by a variable other than x_k
-        pre = accumulate(cov, or_, initial=0)
-        suf = list(accumulate(reversed(cov), or_, initial=0))[-2::-1]
-        cover.append(cov)
-        step.append([ex.get(e + 1, 0) & ~(p | s)
-                     for ex, e, p, s in zip(index.exact, u, pre, suf)])
-    return cover, step
+    cover = list(map(xor, repeat(index.full), map(getitem, index.le, u)))
+    once = twice = 0  # covered by at least one, by at least two variables
+    for c in cover:
+        twice |= once & c
+        once |= c
+    single = once ^ twice
+    return [(s, c) for ex, e, c in zip(index.exact, u, cover)
+            if (s := ex.get(e + 1, 0) & single)]
+
+
+def _colon_size(row, prefix_mask: int) -> Optional[int]:
+    """r, the number of variables generating (prefix) : u for the colon row
+    of u, or None when they do not generate it.  The variables that are
+    colons u_j : u, j in the prefix, generate (prefix) : u iff they divide
+    every such colon."""
+    hit = [c for s, c in row if s & prefix_mask]
+    return None if prefix_mask & ~reduce(or_, hit, 0) else len(hit)
 
 
 def linear_quotients_order(
@@ -82,11 +93,14 @@ def linear_quotients_order(
 
     An ideal with linear quotients has them in such an order (Jahan-Zheng,
     JCTA 117, 2010), so each node tries only the remaining generators of
-    least degree.  Backtracking over prefixes, the stored order first;
-    admissibility of the next generator depends only on the prefix as a
-    set, so dead prefixes are memoized.  Returns a witness order, None
-    when the search space is exhausted, or UNDECIDED when a node budget is
-    given and runs out.
+    least degree.  The stored order is checked first, in one pass that
+    builds each candidate's colon row as it goes; when it is a witness the
+    search below would find it first, spending mu nodes.  Otherwise the
+    search backtracks over prefixes, the stored order first; admissibility
+    of the next generator depends only on the prefix as a set, so dead
+    prefixes are memoized.  Returns a witness order, None when the search
+    space is exhausted, or UNDECIDED when a node budget is given and runs
+    out.
     """
     if I.is_zero or I.is_unit:
         raise DomainError("linear-quotients search needs a proper nonzero ideal")
@@ -97,22 +111,27 @@ def linear_quotients_order(
     if m == 1:
         return QuotientOrder((I.gens[0],), (0,))
 
-    gens, degs = I.gens, I._degs
-    cover, step = _colon_masks(gens, I._exponent_index())
-    full = (1 << m) - 1
+    gens, index = I.gens, I._exponent_index()
+    rows, sizes = [], []
+    if node_budget is None or node_budget >= m:
+        for i, u in enumerate(gens):
+            rows.append(_colon_row(index, u))
+            if (r := _colon_size(rows[i], (1 << i) - 1)) is None:
+                break
+            sizes.append(r)
+        else:
+            return QuotientOrder(gens, tuple(sizes))
+    rows += [_colon_row(index, u) for u in gens[len(rows):]]
+    return _search_order(gens, I._degs, rows, node_budget)
+
+
+def _search_order(gens, degs, rows, node_budget):
+    """Backtracking over degree-nondecreasing prefixes of gens, given the
+    colon row of every generator."""
+    full = (1 << len(gens)) - 1
     dead = set()
     nodes = 0
     budget_hit = False
-
-    def colon_size(prefix_mask: int, i: int) -> Optional[int]:
-        # the variables that are colons u_j : u_i, j in the prefix, generate
-        # (prefix) : u_i iff they divide every such colon
-        covered = r = 0
-        for s, c in zip(step[i], cover[i]):
-            if s & prefix_mask:
-                covered |= c
-                r += 1
-        return None if prefix_mask & ~covered else r
 
     def dfs(prefix_mask: int, path: List[tuple]) -> Optional[List[tuple]]:
         nonlocal nodes, budget_hit
@@ -129,7 +148,7 @@ def linear_quotients_order(
         low = ((prefix_mask + 1) & ~prefix_mask).bit_length() - 1
         for i in range(low, bisect_right(degs, degs[low])):
             if (prefix_mask >> i & 1
-                    or (r := colon_size(prefix_mask, i)) is None):
+                    or (r := _colon_size(rows[i], prefix_mask)) is None):
                 continue
             res = dfs(prefix_mask | (1 << i), path + [(i, r)])
             if res is not None:

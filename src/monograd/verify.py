@@ -18,7 +18,7 @@ from .errors import DomainError
 from .gradient import gradient, gradient_chain
 from .graphs import (SimpleGraph, complementary_edge_ideal, edge_ideal,
                      family_overlap_run, family_reg_gap,
-                     gradient_power_closed_form, is_connected,
+                     gradient_power_closed_forms, is_connected,
                      quadratic_decomposition)
 from .ioformats import ideal_to_json
 from .kruskal import (closed_form_count, closed_form_shadow,
@@ -439,11 +439,13 @@ def _suite_thm51(rep: Report, params: dict, rng: random.Random) -> None:
         pairs = [(6, 3), (8, 3), (8, 4)]
     for n, d in pairs:
         mu = many_generators_threshold(n, d)
-        split_memo: Dict = {}  # vertex splitting trees, shared by the samples
+        # vertex splitting trees and level regularities, shared by the samples
+        split_memo: Dict = {}
+        reg_memo: Dict = {}
         bad = 0
         for _ in range(samples):
             I = random_ideal(n, d, d, mu, squarefree=True, rng=rng)
-            result = has_differential_linear_resolution(I)
+            result = has_differential_linear_resolution(I, _memo=reg_memo)
             splittable = all(is_vertex_splittable(J, split_memo)
                              for *_, J in result.levels)
             if not (result and splittable):
@@ -493,6 +495,7 @@ def _suite_thm61(rep: Report, params: dict, rng: random.Random) -> None:
     screened = 0
     bad = 0
     tails: Dict[Tuple[int, int], tuple] = {}  # (n, p) -> m^p, its LQ check
+    tail_grads: Dict[tuple, MonomialIdeal] = {}  # G(m^p) -> grad(m^p)
     for I in two_linear_edge_ideals(n_max):
         screened += 1
         dec = quadratic_decomposition(I)
@@ -503,9 +506,14 @@ def _suite_thm61(rep: Report, params: dict, rng: random.Random) -> None:
         n = I.n
         ok = True
         for k in ks:
-            Ik = I ** k
-            for ell, direct in enumerate(gradient_chain(Ik, 2 * k)):
-                closed = gradient_power_closed_form(dec, n, k, ell)
+            direct = I ** k
+            for ell, closed in enumerate(gradient_power_closed_forms(dec, n, k)):
+                if ell > k:  # the gradient of a level that should be m^p
+                    if direct.gens not in tail_grads:
+                        tail_grads[direct.gens] = gradient(direct)
+                    direct = tail_grads[direct.gens]
+                elif ell:
+                    direct = gradient(direct)
                 if direct != closed:
                     ok = False
                 if ell >= k:  # should be m^p, and then shares its decision

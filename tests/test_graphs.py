@@ -1,13 +1,17 @@
+from itertools import combinations
+
 import pytest
 
 from monograd.errors import DomainError
 from monograd.gradient import gradient, gradient_chain
 from monograd.graphs import (SimpleGraph, complementary_edge_ideal, edge_ideal,
                              family_overlap_run, family_reg_gap,
-                             gradient_power_closed_form, is_connected,
+                             gradient_power_closed_form,
+                             gradient_power_closed_forms, is_connected,
                              peel_order, quadratic_decomposition,
                              underlying_graph)
-from monograd.monomials import MonomialIdeal
+from monograd.monomials import MonomialIdeal, variable
+from monograd.verify import two_linear_edge_ideals
 
 
 def I(n, *strs):
@@ -75,6 +79,80 @@ def test_closed_form_matches_direct_gradient():
     assert gradient_power_closed_form(dec, 3, 2, 3) == m
     with pytest.raises(DomainError):
         gradient_power_closed_form(dec, 3, 1, 3)
+
+
+def _closed_form_oracle(dec, n, k, ell):
+    """The closed form of grad^ell(I^k) evaluated as ideal arithmetic."""
+    if k <= ell:
+        return MonomialIdeal.maximal(n) ** (2 * k - ell)
+    v, P, J = dec.v, dec.P, dec.J
+    xv = MonomialIdeal(n, [variable(n, v)])
+    nn = MonomialIdeal(n, [variable(n, i) for i in range(1, n + 1) if i != v])
+    out = MonomialIdeal.zero(n)
+    if ell == 0:
+        for r in range(k + 1):
+            out = out + (xv ** (k - r)) * (P ** (k - r)) * (J ** r)
+        return out
+    for r in range(ell + 1):
+        out = out + (xv ** (k - r)) * (nn ** r) * (P ** (k - ell))
+    for s in range(ell + 1, k + 1):
+        out = out + ((xv ** (k - s)) * (nn ** ell) * (P ** (k - s))
+                     * (J ** (s - ell)))
+    return out
+
+
+def _same(A, B):
+    """Equal ideals with equal stored degrees and support masks."""
+    return (A.n, A.gens, A._degs, A._masks) == (B.n, B.gens, B._degs, B._masks)
+
+
+def test_closed_forms_match_ideal_arithmetic():
+    decs = 0
+    for J in two_linear_edge_ideals(5):
+        dec = quadratic_decomposition(J)
+        decs += 1
+        for k in (1, 2, 3):
+            forms = gradient_power_closed_forms(dec, J.n, k)
+            assert len(forms) == 2 * k + 1
+            for ell, form in enumerate(forms):
+                assert _same(form, _closed_form_oracle(dec, J.n, k, ell)), \
+                    (J, k, ell)
+        assert gradient_power_closed_form(dec, J.n, 3, 2) == forms[2]
+    assert decs > 600
+    with pytest.raises(DomainError):
+        gradient_power_closed_forms(dec, J.n, 0)
+
+
+def test_library_built_ideals_match_the_validating_constructor():
+    # edge ideals, complementary edge ideals and the P and J of a
+    # decomposition skip the constructor's checks: on every graph with at
+    # most 5 vertices they equal what the constructor builds, stored
+    # degrees and support masks included
+    decs = 0
+    for n in range(2, 6):
+        slots = list(combinations(range(1, n + 1), 2))
+        for pick in range(1, 1 << len(slots)):
+            edges = [slots[i] for i in range(len(slots)) if pick >> i & 1]
+            G = SimpleGraph(n, edges)
+            E = edge_ideal(G)
+            assert _same(E, MonomialIdeal(n, [
+                tuple(int(v in e) for v in range(1, n + 1)) for e in edges]))
+            assert _same(complementary_edge_ideal(G), MonomialIdeal(n, [
+                tuple(int(v not in e) for v in range(1, n + 1))
+                for e in edges]))
+            if E.support != frozenset(range(1, n + 1)):
+                continue
+            dec = quadratic_decomposition(E)
+            if dec is None:
+                continue
+            decs += 1
+            nbrs = G.neighbors(dec.v)
+            assert _same(dec.P, MonomialIdeal(n, [variable(n, w)
+                                                  for w in nbrs]))
+            assert _same(dec.J, MonomialIdeal(n, [
+                tuple(int(v in e) for v in range(1, n + 1))
+                for e in edges if dec.v not in e]))
+    assert decs > 500
 
 
 def test_family_reg_gap_branches():

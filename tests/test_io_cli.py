@@ -11,7 +11,7 @@ import pytest
 
 from monograd import cli
 from monograd.cli import run_cli
-from monograd.errors import DomainError
+from monograd.errors import DomainError, ExponentOverflowError
 from monograd.gradient import gradient
 from monograd.ioformats import (ideal_to_json, parse_generators,
                                 parse_graph, parse_ideal,
@@ -45,6 +45,43 @@ def test_parse_ideal_both_encodings():
         parse_ideal({"n": 2, "gens": [[1, 2, 3]]})
     with pytest.raises(DomainError):
         parse_ideal({"n": 2, "gens": [[-1, 0]]})
+
+
+def test_parse_checks_each_exponent_once(ideal_file, capsys):
+    # exponents are checked while parsing, the bound included, and the
+    # ideal is built from the checked monomials; the errors are those of
+    # the validating constructor's path, in the same order
+    non_integer = "negative or non-integer exponent in "
+    bound = "exponent exceeds bound 2147483647"
+    cases = [([[True, 0]], DomainError, non_integer + "[True, 0]"),
+             ([[1, False]], DomainError, non_integer + "[1, False]"),
+             ([[1, 1], [-1, 0]], DomainError, non_integer + "[-1, 0]"),
+             ([[1.0, 0]], DomainError, non_integer + "[1.0, 0]"),
+             ([[2**31, 0]], ExponentOverflowError, bound),
+             (["x1^2147483647*x1"], ExponentOverflowError, bound),
+             ([[2**31, 0], [True, 0]], DomainError, non_integer + "[True, 0]"),
+             ([[2**31, 0], [1, 2, 3]], DomainError,
+              "exponent list [1, 2, 3] has length 3, expected 2"),
+             ([[1]], DomainError, "exponent list [1] has length 1, expected 2")]
+    for gens, kind, text in cases:
+        doc = {"n": 2, "gens": gens}
+        with pytest.raises(kind) as info:
+            parse_ideal(doc)
+        assert type(info.value) is kind and str(info.value) == text, gens
+        capsys.readouterr()
+        assert run_cli(["stats", ideal_file(doc)]) == 2
+        assert capsys.readouterr().err == f"error: {text}\n", gens
+    top = parse_ideal({"n": 2, "gens": [[2**31 - 1, 0]]})
+    assert top.gens == ((2**31 - 1, 0),) and top._degs == (2**31 - 1,)
+    rng = random.Random(99)
+    for _ in range(60):
+        n = rng.randint(0, 5)
+        gens = [[rng.randint(0, 3) for _ in range(n)]
+                for _ in range(rng.randint(0, 8))]
+        doc = {"n": n, "gens": gens + [g for g in gens if rng.random() < .3]}
+        got, want = parse_ideal(doc), MonomialIdeal(n, gens)
+        assert (got.gens, got._degs, got._masks) == \
+            (want.gens, want._degs, want._masks), doc
 
 
 def test_parse_without_minimalization():

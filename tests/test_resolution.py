@@ -504,6 +504,28 @@ def test_differential_linear_resolution_report():
     assert not rep2
 
 
+def test_differential_linear_resolution_memo_shares_levels(monkeypatch):
+    # with one memo over many samples, each distinct level's regularity is
+    # computed once, and every report is the one computed without it
+    rng = random.Random(51)
+    ideals = [random_ideal(6, 3, 3, rng.choice((4, 16)), squarefree=True,
+                           rng=rng) for _ in range(30)]
+    plain = [has_differential_linear_resolution(J) for J in ideals]
+    seen = []
+    reg = resolution.regularity
+    monkeypatch.setattr(resolution, "regularity",
+                        lambda J, **kw: seen.append(J.gens) or reg(J, **kw))
+    memo = {}
+    shared = [has_differential_linear_resolution(J, _memo=memo)
+              for J in ideals]
+    assert shared == plain
+    levels = {lvl[3].gens for rep in plain for lvl in rep.levels
+              if not lvl[3].is_unit}
+    assert sorted(seen) == sorted(levels)
+    assert len(levels) < sum(len(rep.levels) for rep in plain) - 30
+    assert any(plain) and not all(plain)
+
+
 def test_cycle_certificate():
     for d in (3, 4):
         cert = cycle_certificate(d)

@@ -9,7 +9,10 @@ from monograd.errors import DomainError, ResourceCapError
 from monograd.gradient import gradient
 from monograd.monomials import (MonomialIdeal, divide_by_variable, mono_mul,
                                 supp, variable, veronese_type)
-from monograd.structure import (UNDECIDED, _colon_masks, has_linear_quotients,
+from monograd import structure
+from monograd.monomials import _ExponentIndex
+from monograd.structure import (UNDECIDED, QuotientOrder, _colon_row,
+                                has_linear_quotients,
                                 is_componentwise_polymatroidal,
                                 is_polymatroidal, is_stable,
                                 is_strongly_stable, is_vertex_splittable,
@@ -281,16 +284,29 @@ def _colon_cases():
     return cases
 
 
+def _colon_rows(gens):
+    index = _ExponentIndex(gens)
+    return [_colon_row(index, u) for u in gens]
+
+
+def _colon_rows_oracle(gens):
+    """The oracle's tables as colon rows: the (step_k, cover_k) pairs of
+    each candidate with step_k nonzero."""
+    cover, step = _colon_masks_oracle(gens)
+    return [[(s, c) for c, s in zip(cov, stp) if s]
+            for cov, stp in zip(cover, step)]
+
+
 def test_colon_masks_match_pairwise_oracle():
     for gens in _colon_cases():
-        assert _colon_masks(gens) == _colon_masks_oracle(gens), gens
+        assert _colon_rows(gens) == _colon_rows_oracle(gens), gens
     # ideals the search actually sees: minimal generating sets
     rng = random.Random(17)
     for t in range(60):
         n = rng.randint(3, 6)
         J = random_ideal(n, 1, 4, rng.randint(1, 7), squarefree=t % 2 == 0,
                          rng=rng)
-        assert _colon_masks(J.gens) == _colon_masks_oracle(J.gens), J
+        assert _colon_rows(J.gens) == _colon_rows_oracle(J.gens), J
 
 
 
@@ -347,3 +363,119 @@ def test_search_tries_only_the_least_degree_left():
     J = I(10, "x1*x2", "x3*x4", *(f"x1*x3*x{k}" for k in range(5, 11)))
     assert J.mu == 8 and not J.is_equigenerated
     assert linear_quotients_order(J, node_budget=3) is None
+
+
+# ---------------------------------------------------------------------------
+# the stored-order check against the plain search
+
+def _lq_reference(J, node_budget=None):
+    """The backtracking search on its own, over colon tables from the
+    pairwise oracle: the stored order first, degree-nondecreasing
+    prefixes, dead prefixes memoized."""
+    gens, degs, m = J.gens, J._degs, J.mu
+    if m == 1:
+        return QuotientOrder((gens[0],), (0,))
+    cover, step = _colon_masks_oracle(gens)
+    full = (1 << m) - 1
+    dead = set()
+    nodes = 0
+    budget_hit = False
+
+    def colon_size(prefix_mask, i):
+        covered = r = 0
+        for s, c in zip(step[i], cover[i]):
+            if s & prefix_mask:
+                covered |= c
+                r += 1
+        return None if prefix_mask & ~covered else r
+
+    def dfs(prefix_mask, path):
+        nonlocal nodes, budget_hit
+        if prefix_mask == full:
+            return path
+        if prefix_mask in dead:
+            return None
+        nodes += 1
+        if node_budget is not None and nodes > node_budget:
+            budget_hit = True
+            return None
+        low = ((prefix_mask + 1) & ~prefix_mask).bit_length() - 1
+        for i in range(low, m):
+            if degs[i] != degs[low]:
+                break
+            if prefix_mask >> i & 1 or (r := colon_size(prefix_mask, i)) is None:
+                continue
+            res = dfs(prefix_mask | (1 << i), path + [(i, r)])
+            if res is not None:
+                return res
+            if budget_hit:
+                return None
+        dead.add(prefix_mask)
+        return None
+
+    result = dfs(0, [])
+    if result is not None:
+        return QuotientOrder(tuple(gens[i] for i, _ in result),
+                             tuple(r for _, r in result))
+    return UNDECIDED if budget_hit else None
+
+
+def _lq_sweep():
+    rng = random.Random(1505)
+    for t in range(400):
+        n = rng.randint(2, 6)
+        J = random_ideal(n, 1, 4, rng.randint(1, 9),
+                         squarefree=t % 3 == 0 and n >= 4, rng=rng)
+        for K in (J, gradient(J)):
+            if not (K.is_zero or K.is_unit):
+                yield K
+    for n, p in ((3, 2), (4, 3)):
+        yield MonomialIdeal.maximal(n) ** p
+    yield veronese_type(5, (1, 1, 1, 1, 1), 3)
+    yield I(4, "x1*x2", "x3*x4")
+
+
+def test_search_matches_reference_on_every_budget():
+    # the stored-order check returns exactly what the search alone would:
+    # the same witness, None or UNDECIDED, whatever the budget
+    stored = searched = undecided = 0
+    for J in _lq_sweep():
+        m = J.mu
+        for budget in (None, m * J.n, m, m - 1, 1):
+            got = linear_quotients_order(J, node_budget=budget)
+            assert got == _lq_reference(J, budget), (J, budget)
+            if budget is None and got is not None:
+                stored += got.order == J.gens
+                searched += got.order != J.gens
+            undecided += got is UNDECIDED
+    assert stored > 300 and searched > 10 and undecided > 1000, \
+        (stored, searched, undecided)
+
+
+def test_stored_order_witness_skips_the_search(monkeypatch):
+    # when the stored order is a witness and the budget covers its mu
+    # nodes, one colon row per generator is built and the search never
+    # runs; otherwise the search gets every row
+    rows, searches = [], []
+    row, search = structure._colon_row, structure._search_order
+    monkeypatch.setattr(structure, "_colon_row",
+                        lambda index, u: rows.append(u) or row(index, u))
+    monkeypatch.setattr(structure, "_search_order",
+                        lambda *a: searches.append(a) or search(*a))
+    skipped = 0
+    for J in _lq_sweep():
+        if J.mu == 1:
+            continue
+        for budget in (None, J.mu, J.mu - 1):
+            rows.clear()
+            searches.clear()
+            got = linear_quotients_order(J, node_budget=budget)
+            on_stored = _lq_reference(J) is not None and \
+                _lq_reference(J).order == J.gens
+            if on_stored and budget != J.mu - 1:
+                assert got.order == J.gens and not searches, J
+                skipped += 1
+            else:
+                assert len(searches) == 1, J
+            assert rows == list(J.gens), J
+    assert skipped > 600

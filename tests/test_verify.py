@@ -1,8 +1,10 @@
 import pytest
 
+import monograd.verify as verify
 from monograd.errors import DomainError
+from monograd.monomials import MonomialIdeal
 from monograd.verify import (Report, VERIFY_IDS, random_ideal,
-                             verify_theorem)
+                             two_linear_edge_ideals, verify_theorem)
 
 
 def test_random_ideal_determinism():
@@ -66,3 +68,30 @@ def test_failing_check_reports_replay():
     rep.add("forced failure", 1, 2, bad)
     assert not rep.passed
     assert any("replay ideal" in n for n in rep.engine_notes)
+
+
+def test_thm61_closed_forms_multiply_no_ideals(monkeypatch):
+    # thm6.1 evaluates the closed forms once per (graph, k), from exponent
+    # tuples: no ideal product is formed inside the evaluation
+    inside, products, calls = [], [], []
+    mul, forms = MonomialIdeal.__mul__, verify.gradient_power_closed_forms
+
+    def spy_mul(self, other):
+        if inside:
+            products.append((self, other))
+        return mul(self, other)
+
+    def spy_forms(dec, n, k):
+        inside.append(k)
+        calls.append((dec, k))
+        try:
+            return forms(dec, n, k)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(MonomialIdeal, "__mul__", spy_mul)
+    monkeypatch.setattr(verify, "gradient_power_closed_forms", spy_forms)
+    rep = verify_theorem("thm6.1", {"n_max": 4}, seed=0)
+    assert rep.passed
+    assert len(calls) == 2 * len(list(two_linear_edge_ideals(4))) > 0
+    assert not products
