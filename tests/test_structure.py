@@ -7,10 +7,10 @@ import pytest
 from monograd.caps import Caps
 from monograd.errors import DomainError, ResourceCapError
 from monograd.gradient import gradient
-from monograd.monomials import (MonomialIdeal, divide_by_variable, mono_mul,
-                                supp, variable, veronese_type)
 from monograd import structure
-from monograd.monomials import _ExponentIndex
+from monograd.monomials import (MonomialIdeal, _ExponentIndex,
+                                divide_by_variable, mono_mul, supp, variable,
+                                veronese_type)
 from monograd.structure import (UNDECIDED, QuotientOrder, _colon_row,
                                 has_linear_quotients,
                                 is_componentwise_polymatroidal,
@@ -466,12 +466,12 @@ def test_stored_order_witness_skips_the_search(monkeypatch):
     for J in _lq_sweep():
         if J.mu == 1:
             continue
+        ref = _lq_reference(J)
+        on_stored = ref is not None and ref.order == J.gens
         for budget in (None, J.mu, J.mu - 1):
             rows.clear()
             searches.clear()
             got = linear_quotients_order(J, node_budget=budget)
-            on_stored = _lq_reference(J) is not None and \
-                _lq_reference(J).order == J.gens
             if on_stored and budget != J.mu - 1:
                 assert got.order == J.gens and not searches, J
                 skipped += 1
