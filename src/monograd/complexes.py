@@ -153,36 +153,18 @@ class SimplicialComplex:
             frontier = nxt
         return out
 
-    # -- restriction ------------------------------------------------------
-    def restrict(self, vertices: Iterable[int]) -> "SimplicialComplex":
-        """Restriction to a vertex subset, relabeled to 1..|W|."""
-        w = sorted(set(vertices))
-        if any(v < 1 or v > self.n for v in w):
-            raise DomainError("restriction vertices out of range")
-        if self.void:
-            return SimplicialComplex.void_complex(len(w))
-        relabel = {v: i + 1 for i, v in enumerate(w)}
-        wmask = _to_mask(w)
-        # minimal nonfaces of the restriction: minimal non-faces among
-        # subsets of W = minimal elements of {N : N nonface, N subseteq W}
-        nfs = [m for m in self.nonface_masks if m & wmask == m]
-        out_nf = [[relabel[v] for v in _from_mask(m)] for m in nfs]
-        return SimplicialComplex(len(w), out_nf)
-
-    # -- boundary maps and homology ---------------------------------------
-    def boundary_matrix(self, s: int, within: Optional[int] = None):
-        """Matrix of d_s : C_s -> C_{s-1} as (columns, nrows, ncols).
-
-        Columns are dicts row->entry; rows/columns follow the canonical
-        face order (cardinality, then sorted vertex tuples).
-        """
-        faces = self.faces_by_cardinality(within)
-        return (_boundary_columns(faces, s + 1), len(faces.get(s, ())),
-                len(faces.get(s + 1, ())))
-
+    # -- homology -------------------------------------------------------
     def homology_profile(self, within: Optional[int] = None) -> Dict[int, int]:
         """All nonzero reduced homology dimensions, by dimension s."""
-        return _profile(self.faces_by_cardinality(within))
+        faces = self.faces_by_cardinality(within)
+        out = {}
+        rank_above = 0
+        for c, rank in _boundary_ranks(faces, -1):
+            h = len(faces[c]) - rank - rank_above
+            if h:
+                out[c - 1] = h
+            rank_above = rank
+        return dict(reversed(out.items()))
 
     def top_nonzero_homology(self, within: Optional[int] = None,
                              stop_below: int = -1) -> Optional[int]:
@@ -197,19 +179,6 @@ class SimplicialComplex:
                 return c - 1
             rank_above = rank
         return None
-
-
-def _profile(faces: Dict[int, List[int]]) -> Dict[int, int]:
-    """Nonzero reduced homology dimensions, by dimension s, of the complex
-    whose faces by cardinality are given (each list in canonical order)."""
-    out = {}
-    rank_above = 0
-    for c, rank in _boundary_ranks(faces, -1):
-        h = len(faces[c]) - rank - rank_above
-        if h:
-            out[c - 1] = h
-        rank_above = rank
-    return dict(reversed(out.items()))
 
 
 def _boundary_columns(faces: Dict[int, List[int]], card: int,

@@ -21,24 +21,16 @@ decides most elements by three rules, s counting the peels made:
 
 When no member has a private vertex, the family is cut to its antichain
 (the minimal nonfaces of D below) and peeled again.  What is left then
-has no singleton, and goes, with i shifted by s, to the smaller of two
-exact presentations of its homology:
-
-- the Alexander dual D on w of the upper Koszul complex K^b = {F
-  subseteq supp b : x^(b-F) in I} (Miller-Sturmfels, Thm 1.34), k = |w|
-  vertices: beta_{i,b} = dim H~_{k-i-1}(D).  Its minimal nonfaces
-  N_1..N_m are the minimal tight sets; for squarefree I, D is Delta_W,
-  W = supp b, and the formula is Hochster's.
-- the nerve Gamma_b = {S subseteq [m] : the union of the N_j, j in S, is
-  not w} of the facets w - N_j of the Alexander dual of D, m vertices:
-  beta_{i,b} = dim H~_{i-2}(Gamma_b), by Alexander duality and the nerve
-  theorem.
-
-The walk takes the nerve when m < k, and D otherwise; at s = 0 these are
-the presentations of b itself.  The exponent index of G(I) gives the
-tight sets, and the bottom b = 0 carries beta_{0,0} = 1.  An independent
-Koszul-strand oracle computes the same Tor dimensions, and polarization
-is a public utility and oracle.
+has no singleton, and its homology, with i shifted by s, is that of the
+Alexander dual D on w of the upper Koszul complex K^b = {F subseteq
+supp b : x^(b-F) in I} (Miller-Sturmfels, Thm 1.34), k = |w| vertices:
+beta_{i,b} = dim H~_{k-i-1}(D).  The minimal nonfaces of D are the
+minimal tight sets; for squarefree I, D is Delta_W, W = supp b, and the
+formula is Hochster's.  At s = 0 this is the presentation of b itself.
+The exponent index of G(I) gives the tight sets, and the bottom b = 0
+carries beta_{0,0} = 1.  An independent Koszul-strand oracle computes
+the same Tor dimensions, and polarization is a public utility and
+oracle.
 
 Engine "auto" walks the lattice only when no certificate turns up: a
 degree-nondecreasing linear-quotients order u_1..u_m, with r_k variables
@@ -57,12 +49,11 @@ from operator import or_
 from typing import Dict, List, Optional, Tuple
 
 from .caps import Caps, default_caps
-from .complexes import SimplicialComplex, _antichain, _profile
+from .complexes import SimplicialComplex, _antichain
 from .errors import DomainError, ResourceCapError
 from .exact_rank import sparse_rank
 from .gradient import gradient_chain
-from .monomials import (MonomialIdeal, _support_mask, mono_mul,
-                        monomials_of_degree, variable)
+from .monomials import MonomialIdeal, mono_mul, monomials_of_degree, variable
 from .structure import UNDECIDED, QuotientOrder, linear_quotients_order
 
 
@@ -136,46 +127,6 @@ def _tight_sets(columns) -> dict:
     return tight
 
 
-def _koszul_dual(I: MonomialIdeal, b) -> Tuple[int, SimplicialComplex]:
-    """(w, D) for a lattice element b: w is the mask of supp b, and D
-    restricted to w is the Alexander dual of K^b.
-
-    x^(b-F) lies in I iff some generator g dividing x^b has g_k < b_k for
-    every k in F, so the minimal nonfaces of D are the minimal tight sets
-    of those g, the empty set if one is tight nowhere: for squarefree I
-    the supports of the g inside W = supp b, which is Hochster's Delta_W.
-    """
-    divisors, columns = _tight_columns(I, b)
-    tight = list(_tight_sets(columns).values())
-    if len(tight) < divisors.bit_count():
-        tight.append(0)
-    return _support_mask(b), SimplicialComplex._from_masks(I.n, tight)
-
-
-def _nerve_faces(w: int, nonfaces, top: Optional[int] = None):
-    """Faces of Gamma = {S subseteq [m] : the union of the N_j, j in S, is
-    not w}, the nerve of the facets w - N_j of the Alexander dual of the
-    complex with minimal nonfaces N_1..N_m, grouped by cardinality up to
-    `top` (all if None), as masks over the positions in `nonfaces`.
-
-    The lists are in the canonical order of faces_by_cardinality, and
-    each face carries the union of its nonfaces to its extensions.  The
-    empty face is always listed, so w must not be 0.
-    """
-    out = {0: [0]}
-    frontier = [(0, 0)]  # (face, union of its nonfaces)
-    m = len(nonfaces)
-    card = 0
-    while frontier and card != top:
-        card += 1
-        frontier = [(f | 1 << j, v) for f, u in frontier
-                    for j in range(f.bit_length(), m)
-                    if (v := u | nonfaces[j]) != w]
-        if frontier:
-            out[card] = [f for f, _ in frontier]
-    return out
-
-
 def _element_betti(I: MonomialIdeal, b, most: Optional[int] = None):
     """The Betti numbers beta_{i,b}(S/I) of a lattice element b.
 
@@ -183,9 +134,8 @@ def _element_betti(I: MonomialIdeal, b, most: Optional[int] = None):
     it, the least i <= most with beta_{i,b} != 0, or None.  The rules of
     the module docstring run on the columns A_k of the tight sets: a
     member is a generator bit, and a vertex k is private to a member when
-    A_k is that one bit.  What is left after s peels goes to the smaller
-    presentation, the nerve when it has fewer vertices (members) than
-    the dual (the bits of w), with i shifted by s.
+    A_k is that one bit.  What is left after s peels is read off the
+    dual D on w, with i shifted by s.
     """
     if not any(b):  # the bottom: beta_{0,0} = 1, the free part of S/I
         return {0: 1} if most is None else (0 if most >= 0 else None)
@@ -209,37 +159,20 @@ def _element_betti(I: MonomialIdeal, b, most: Optional[int] = None):
             tight = _tight_sets(columns)
             minimal = _antichain(tight.values())
             if len(minimal) == len(tight):
-                return _presentation_betti(I.n, sum(columns), minimal, s,
-                                           most)
+                # i = k - t - 1 + s for H~_t(D)
+                w, k = sum(columns), len(columns)
+                dual = SimplicialComplex._from_masks(I.n, minimal)
+                if most is None:
+                    return {k - t - 1 + s: h for t, h in
+                            dual.homology_profile(within=w).items()}
+                t = dual.top_nonzero_homology(within=w,
+                                              stop_below=k - most + s - 2)
+                return None if t is None else k - t - 1 + s
             # keep one member per minimal tight set and peel again
             keep = {N: g for g, N in tight.items()}
             members = sum(keep[N] for N in minimal)
             columns = {v: a & members for v, a in columns.items()}
     return {} if most is None else None
-
-
-def _presentation_betti(n: int, w: int, nonfaces, s: int,
-                        most: Optional[int]):
-    """_element_betti on an antichain of nonempty nonfaces covering w, no
-    vertex in only one of them, after s peels: the dual D on w, or its
-    nerve Gamma when it has fewer vertices."""
-    k = w.bit_count()
-    if len(nonfaces) >= k:
-        # i = k - t - 1 + s for H~_t(D)
-        dual = SimplicialComplex._from_masks(n, nonfaces)
-        if most is None:
-            return {k - t - 1 + s: h for t, h in
-                    dual.homology_profile(within=w).items()}
-        t = dual.top_nonzero_homology(within=w, stop_below=k - most + s - 2)
-        return None if t is None else k - t - 1 + s
-    # i = t + 2 + s for H~_t(Gamma); below its top cardinality most - s,
-    # the skeleton enumerated has the homology of Gamma
-    profile = _profile(_nerve_faces(w, nonfaces,
-                                    None if most is None else most - s))
-    if most is None:
-        return {t + 2 + s: h for t, h in profile.items()}
-    return min((t + 2 + s for t in profile if t + 2 + s <= most),
-               default=None)
 
 
 def _lattice_betti(I: MonomialIdeal, caps: Caps,

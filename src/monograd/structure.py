@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import compress, count, repeat
 from operator import and_, getitem, or_, xor
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 from .caps import Caps, default_caps
 from .errors import DomainError, ResourceCapError
@@ -127,44 +127,42 @@ def linear_quotients_order(
 
 def _search_order(gens, degs, rows, node_budget):
     """Backtracking over degree-nondecreasing prefixes of gens, given the
-    colon row of every generator."""
+    colon row of every generator, on an explicit stack: one frame (prefix
+    mask, its untried candidates) per live prefix on the path, and one
+    step (i, r) from each frame to the next prefix."""
     full = (1 << len(gens)) - 1
     dead = set()
     nodes = 0
-    budget_hit = False
-
-    def dfs(prefix_mask: int, path: List[tuple]) -> Optional[List[tuple]]:
-        nonlocal nodes, budget_hit
-        if prefix_mask == full:
-            return path
-        if prefix_mask in dead:
+    stack, path = [], []
+    prefix = 0
+    while prefix != full:
+        if prefix in dead:
+            path.pop()
+        else:
+            nodes += 1
+            if node_budget is not None and nodes > node_budget:
+                return UNDECIDED
+            # G(I) is stored by degree: the least degree left starts at
+            # the lowest generator not in the prefix
+            low = ((prefix + 1) & ~prefix).bit_length() - 1
+            high = bisect_right(degs, degs[low])
+            stack.append((prefix, iter(range(low, high))))
+        while stack:
+            top, candidates = stack[-1]
+            step = next(((i, r) for i in candidates if not top >> i & 1 and
+                         (r := _colon_size(rows[i], top)) is not None), None)
+            if step is not None:
+                break
+            dead.add(top)
+            stack.pop()
+            if path:
+                path.pop()
+        else:
             return None
-        nodes += 1
-        if node_budget is not None and nodes > node_budget:
-            budget_hit = True
-            return None
-        # G(I) is stored by degree: the least degree left starts at the
-        # lowest generator not in the prefix
-        low = ((prefix_mask + 1) & ~prefix_mask).bit_length() - 1
-        for i in range(low, bisect_right(degs, degs[low])):
-            if (prefix_mask >> i & 1
-                    or (r := _colon_size(rows[i], prefix_mask)) is None):
-                continue
-            res = dfs(prefix_mask | (1 << i), path + [(i, r)])
-            if res is not None:
-                return res
-            if budget_hit:
-                return None
-        dead.add(prefix_mask)
-        return None
-
-    result = dfs(0, [])
-    if result is not None:
-        return QuotientOrder(tuple(gens[i] for i, _ in result),
-                             tuple(r for _, r in result))
-    if budget_hit:
-        return UNDECIDED
-    return None
+        path.append(step)
+        prefix = top | 1 << step[0]
+    return QuotientOrder(tuple(gens[i] for i, _ in path),
+                         tuple(r for _, r in path))
 
 
 def has_linear_quotients(I: MonomialIdeal, caps: Optional[Caps] = None) -> bool:

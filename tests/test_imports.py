@@ -1,4 +1,5 @@
-"""The runtime package imports nothing outside the standard library."""
+"""Static checks on the runtime package's source: it imports nothing
+outside the standard library, and every private function has a caller."""
 
 import ast
 import sys
@@ -34,3 +35,42 @@ def test_runtime_imports_only_the_standard_library():
     assert len(files) > 10
     foreign = {f.name: _foreign_imports(f.read_text()) for f in files}
     assert not {name: mods for name, mods in foreign.items() if mods}
+
+
+def _unreferenced_private_functions(sources):
+    """Names of the _-prefixed, non-dunder functions and methods defined in
+    the given sources that no name or attribute in them refers to, outside
+    the bodies of the definitions of that name."""
+    defined, used = set(), set()
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if node.name.startswith("_") and not node.name.endswith("__"):
+                defined.add(node.name)
+            inside = inside | {node.name}
+        elif isinstance(node, ast.Name) and node.id not in inside:
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr not in inside:
+            used.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    for source in sources:
+        visit(ast.parse(source), frozenset())
+    return sorted(defined - used)
+
+
+def test_unreferenced_private_function_detection():
+    assert _unreferenced_private_functions([
+        "def _used(): pass\n"
+        "def _dead(): return _dead()\n"
+        "class C:\n"
+        "    def __init__(self): self._m()\n"
+        "    def _m(self): pass\n"
+        "    def _n(self): return self._n()\n",
+        "x = _used()\n"]) == ["_dead", "_n"]
+
+
+def test_every_private_function_has_a_caller_in_the_package():
+    sources = [f.read_text() for f in sorted(SRC.glob("*.py"))]
+    assert _unreferenced_private_functions(sources) == []

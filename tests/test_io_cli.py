@@ -375,6 +375,28 @@ def test_cli_powers_of_the_maximal_ideal_match_eliahou_kervaire(
     assert json.loads(capsys.readouterr().out) == {"regularity": d}
 
 
+def test_cli_certificate_search_deeper_than_the_recursion_limit(
+        ideal_file, monkeypatch, capsys):
+    # the 4th power of an edge ideal on 7 vertices whose complement is
+    # chordal: mu = 1470, and its stored order is no witness, so the
+    # search backtracks along a path of 1470 generators
+    edges = "12 13 15 17 23 24 25 26 27 34 35 36 37 46 56 67".split()
+    J = I(7, *(f"x{e[0]}*x{e[1]}" for e in edges)) ** 4
+    assert J.mu == 1470 and J.mu > sys.getrecursionlimit()
+    monkeypatch.setenv("MONOGRAD_CAPS", "lq-generators=5000")
+    f = ideal_file(serialize_ideal(J))
+    assert run_cli(["reg", f]) == 0
+    assert capsys.readouterr().out == "8\n"
+    assert run_cli(["betti", f, "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["engine"] == "linear-quotients"
+    assert doc["entries"] == [[i, 8 + i, b] for i, b in enumerate(
+        (1470, 7196, 14896, 16660, 10605, 3640, 526))]
+    # the ranks of a free resolution of S/I alternate to zero
+    assert 1 + sum((-1) ** (i + 1) * b for i, _, b in doc["entries"]) == 0
+    assert (doc["regularity"], doc["projective_dimension"]) == (8, 6)
+
+
 def test_cli_betti_json_is_invariant_under_relabeling(ideal_file, capsys):
     # the whole document, engine included, must not depend on the names
     # of the variables: the certificate search starts from the stored

@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 
 from monograd.caps import Caps
-from monograd.complexes import SimplicialComplex, _profile
+from monograd.complexes import SimplicialComplex
 from monograd.errors import DomainError, ResourceCapError
 from monograd.gradient import gradient, iterated_gradient
 from monograd.graphs import family_overlap_run, family_reg_gap
@@ -111,7 +111,7 @@ def test_mask_built_dual_matches_public_constructor():
     voids = 0
     for J in _small_sweep():
         for b in resolution._lcm_lattice(J, Caps()):
-            w, dual = resolution._koszul_dual(J, b)
+            w, dual = _koszul_dual_scan(J, b)
             assert w == sum(1 << k for k, c in enumerate(b) if c)
             tight = [[k + 1 for k in range(J.n) if b[k] and g[k] == b[k]]
                      for g in J.gens
@@ -126,23 +126,39 @@ def test_mask_built_dual_matches_public_constructor():
 
 
 def _koszul_dual_scan(J, b):
-    """(w, D) of _koszul_dual by screening every generator: the tight set
-    {k : g_k = b_k > 0} of each generator g dividing x^b."""
+    """(w, D) for a lattice element b, w the mask of supp b and D on w the
+    Alexander dual of the upper Koszul complex K^b, by screening every
+    generator: its minimal nonfaces are the minimal tight sets {k : g_k =
+    b_k > 0} of the generators g dividing x^b."""
     w = sum(1 << k for k, e in enumerate(b) if e)
     tight = [sum(1 << k for k in range(J.n) if g[k] == b[k] > 0)
              for g in J.gens if all(gk <= bk for gk, bk in zip(g, b))]
     return w, SimplicialComplex._from_masks(J.n, tight)
 
 
+def _index_dual(J, b):
+    """(w, D) as _koszul_dual_scan, from the tight columns the lattice walk
+    reads off the exponent index; a generator tight nowhere is in no
+    column and makes D void."""
+    divisors, columns = resolution._tight_columns(J, b)
+    tight = list(resolution._tight_sets(columns).values())
+    if len(tight) < divisors.bit_count():
+        tight.append(0)
+    return sum(columns), SimplicialComplex._from_masks(J.n, tight)
+
+
+def _wide_exponent_ideals():
+    """Ideals whose exponents stress the index: up to 2^31 - 1, and
+    several values per variable."""
+    return [MonomialIdeal(2, [(2**31 - 1, 0), (2**31 - 2, 1), (0, 2**31 - 1)]),
+            I(3, "x1^3*x2", "x1*x2^3", "x2^2*x3^2", "x3^4")]
+
+
 def test_index_built_dual_matches_generator_scan():
-    ideals = _element_sweep() + [
-        MonomialIdeal(2, [(2**31 - 1, 0), (2**31 - 2, 1), (0, 2**31 - 1)]),
-        I(3, "x1^3*x2", "x1*x2^3", "x2^2*x3^2", "x3^4")]
     checked = 0
-    for J in ideals:
+    for J in _element_sweep() + _wide_exponent_ideals():
         for b in resolution._lcm_lattice(J, Caps()):
-            assert resolution._koszul_dual(J, b) == _koszul_dual_scan(J, b), \
-                (J, b)
+            assert _index_dual(J, b) == _koszul_dual_scan(J, b), (J, b)
             checked += 1
     assert checked > 3500
 
@@ -168,17 +184,9 @@ def _element_sweep():
 
 def _by_dual(J, b):
     """{i: beta_{i,b}(S/I)} from the dual on all of supp b."""
-    w, dual = resolution._koszul_dual(J, b)
+    w, dual = _koszul_dual_scan(J, b)
     return {w.bit_count() - s - 1: h
             for s, h in dual.homology_profile(within=w).items()}
-
-
-def _by_nerve(J, b):
-    """{i: beta_{i,b}(S/I)} from the nerve Gamma_b of the dual's minimal
-    nonfaces, H~_{i-2}(Gamma_b)."""
-    w, dual = resolution._koszul_dual(J, b)
-    faces = resolution._nerve_faces(w, dual.nonface_masks)
-    return {t + 2: h for t, h in _profile(faces).items()}
 
 
 def _peel_reference(J, b):
@@ -215,93 +223,66 @@ def _mask(vertices):
 
 
 @pytest.fixture
-def nerve_spy(monkeypatch):
-    """Records the union w of every nerve the lattice walk enumerates."""
-    calls = []
-    nerve_faces = resolution._nerve_faces
-
-    def spy(w, nonfaces, top=None):
-        calls.append(w)
-        return nerve_faces(w, nonfaces, top)
-
-    monkeypatch.setattr(resolution, "_nerve_faces", spy)
-    return calls
-
-
-@pytest.fixture
 def face_spy(monkeypatch):
-    """Records ("nerve", w) for every nerve the lattice walk enumerates and
-    ("dual", within) for every face enumeration of a SimplicialComplex."""
+    """Records ("dual", within) for every face enumeration of a
+    SimplicialComplex."""
     calls = []
-    nerve_faces = resolution._nerve_faces
     faces_by_cardinality = SimplicialComplex.faces_by_cardinality
-
-    def nerve(w, nonfaces, top=None):
-        calls.append(("nerve", w))
-        return nerve_faces(w, nonfaces, top)
 
     def dual(self, within=None):
         calls.append(("dual", within))
         return faces_by_cardinality(self, within)
 
-    monkeypatch.setattr(resolution, "_nerve_faces", nerve)
     monkeypatch.setattr(SimplicialComplex, "faces_by_cardinality", dual)
     return calls
 
 
-def test_nerve_and_dual_presentations_agree(nerve_spy):
-    nerves = duals = 0
-    for J in _element_sweep():
+def test_element_betti_matches_the_dual(face_spy):
+    duals = narrow = 0
+    for J in _element_sweep() + _wide_exponent_ideals():
         if J.is_unit:
             continue
         for b in resolution._lcm_lattice(J, Caps()):
-            w, dual = resolution._koszul_dual(J, b)
             expected = _by_dual(J, b)
-            if b != (0,) * J.n and not dual.void:
-                assert _by_nerve(J, b) == expected, (J, b)
-            nerve_spy.clear()
+            face_spy.clear()
             assert resolution._element_betti(J, b) == expected, (J, b)
-            # only an element the peel rules leave reaches a presentation,
-            # and the nerve is taken on the reduced w' when it is smaller
+            # only an element the peel rules leave reaches the dual, and it
+            # is built on the reduced w'
             left = _peel_reference(J, b) if any(b) else ("bottom",)
-            nerve = left[0] == "left" and len(left[3]) < len(left[2])
-            assert nerve_spy == ([_mask(left[2])] if nerve else []), (J, b)
-            nerves += nerve
-            duals += left[0] == "left" and not nerve
-    assert nerves > 10 and duals > 200  # 14 and 254 seen
+            dual = left[0] == "left"
+            assert face_spy == ([("dual", _mask(left[2]))] if dual else []), \
+                (J, b)
+            duals += dual
+            # fewer minimal nonfaces than vertices of w'
+            narrow += dual and len(left[3]) < len(left[2])
+    assert narrow > 10 and duals > 250  # 14 and 268 seen
 
 
-def test_element_betti_edge_cases(nerve_spy):
-    # (ideal, element, expected profile, the nerve is chosen); the peel
-    # rules decide every one of these, so no nerve is enumerated
+def test_element_betti_edge_cases(face_spy):
+    # (ideal, element, expected profile); the peel rules decide every one
+    # of these, so no face is enumerated
     cases = [
-        # the bottom: beta_{0,0} = 1, and its nerve would be void
-        (I(3, "x1*x2", "x3^2"), (0, 0, 0), {0: 1}, False),
+        # the bottom: beta_{0,0} = 1
+        (I(3, "x1*x2", "x3^2"), (0, 0, 0), {0: 1}),
         # a void dual: x1*x2 divides x^b and meets no exponent of b
-        (I(2, "x1*x2", "x1^2", "x2^2"), (2, 2), {}, False),
+        (I(2, "x1*x2", "x1^2", "x2^2"), (2, 2), {}),
         # one generator of degree 4 on 3 variables: the boundary of a
-        # 2-simplex against the nerve {emptyset}, and a sphere at once
-        (I(3, "x1^2*x2*x3"), (2, 1, 1), {1: 1}, False),
+        # 2-simplex, and a sphere at once
+        (I(3, "x1^2*x2*x3"), (2, 1, 1), {1: 1}),
         # m = 1 and N = w = {1}: the dual {emptyset} has no vertices
-        (I(2, "x1^3", "x2"), (3, 0), {1: 1}, False),
-        # every nonface a singleton: the dual is {emptyset}, the nerve
-        # the boundary of a 2-simplex; two peels, then a sphere
-        (I(3, "x1^2", "x2^3", "x3"), (2, 3, 1), {3: 1}, False),
+        (I(2, "x1^3", "x2"), (3, 0), {1: 1}),
+        # every nonface a singleton: the dual is {emptyset}; two peels,
+        # then a sphere
+        (I(3, "x1^2", "x2^3", "x3"), (2, 3, 1), {3: 1}),
     ]
-    for J, b, expected, nerve in cases:
+    for J, b, expected in cases:
         assert b in resolution._lcm_lattice(J, Caps())
-        nerve_spy.clear()
+        face_spy.clear()
         assert resolution._element_betti(J, b) == expected, (J, b)
-        assert bool(nerve_spy) == nerve, (J, b)
+        assert face_spy == [], (J, b)
         assert _by_dual(J, b) == expected, (J, b)
-        if any(b):
-            w, dual = resolution._koszul_dual(J, b)
-            assert dual.void or _by_nerve(J, b) == expected, (J, b)
-    w, dual = resolution._koszul_dual(*cases[1][:2])
+    _, dual = _koszul_dual_scan(*cases[1][:2])
     assert dual.void and dual.nonface_masks == ()
-    # the nerve of an empty nonface list is {emptyset}, so a void dual
-    # must not take it
-    assert _profile(resolution._nerve_faces(w, ())) == {-1: 1}
 
 
 def _wide_non_squarefree_sweep():
@@ -313,7 +294,7 @@ def _wide_non_squarefree_sweep():
     return sweep + [gradient(J) for J in sweep]
 
 
-def test_peeled_elements_match_both_presentations(face_spy):
+def test_peeled_elements_match_the_dual(face_spy):
     routes = Counter()
     for J in _element_sweep() + _wide_non_squarefree_sweep():
         if J.is_unit:
@@ -321,26 +302,20 @@ def test_peeled_elements_match_both_presentations(face_spy):
         for b in resolution._lcm_lattice(J, Caps()):
             if not any(b):
                 continue
-            w, dual = resolution._koszul_dual(J, b)
             expected = _by_dual(J, b)
-            if not dual.void:
-                assert _by_nerve(J, b) == expected, (J, b)
             face_spy.clear()
             assert resolution._element_betti(J, b) == expected, (J, b)
             route = _peel_reference(J, b)
             if route[0] == "left":
                 routes["partial peel" if route[1] else "no peel"] += 1
-                _, _, w_left, minimal = route
-                kind = "nerve" if len(minimal) < len(w_left) else "dual"
-                assert face_spy == [(kind, _mask(w_left))], (J, b)
+                assert face_spy == [("dual", _mask(route[2]))], (J, b)
             else:
                 # a decided element enumerates no face
                 assert face_spy == [], (J, b)
                 assert expected == ({route[1] + 1: 1}
                                     if route[0] == "sphere" else {}), (J, b)
                 routes[route[0]] += 1
-            k = w.bit_count()
-            for most in range(k + 2):
+            for most in range(sum(map(bool, b)) + 2):
                 low = [i for i in expected if i <= most]
                 assert resolution._element_betti(J, b, most) == \
                     (min(low) if low else None), (J, b, most)
@@ -348,42 +323,42 @@ def test_peeled_elements_match_both_presentations(face_spy):
     assert routes["sphere"] > 4000 and routes["zero"] > 600, routes
     assert routes["partial peel"] > 250 and routes["no peel"] > 80, routes
 
-    # (ideal, element, profile, route by _peel_reference, presentation)
+    # (ideal, element, profile, route by _peel_reference)
     pinned = [
         # a single generator: one member equal to w
-        (I(3, "x1^2*x2"), (2, 1, 0), {1: 1}, ("sphere", 0), None),
+        (I(3, "x1^2*x2"), (2, 1, 0), {1: 1}, ("sphere", 0)),
         # two disjoint generators: a peel, then a sphere at i = 2
-        (I(4, "x1*x2", "x3*x4"), (1, 1, 1, 1), {2: 1}, ("sphere", 1), None),
+        (I(4, "x1*x2", "x3*x4"), (1, 1, 1, 1), {2: 1}, ("sphere", 1)),
         # a generator tight nowhere: x1*x2 below (2, 2) is a cone apex
-        (I(2, "x1*x2", "x1^2", "x2^2"), (2, 2), {}, ("zero", 0), None),
+        (I(2, "x1*x2", "x1^2", "x2^2"), (2, 2), {}, ("zero", 0)),
         # duplicated tight sets {2}, {2}: after peeling {1, 3} neither has
         # a private vertex, and the antichain {2} is a sphere
         (I(3, "x1*x2^2", "x2^2*x3", "x1^2*x3^2"), (2, 2, 2), {2: 1},
-         ("sphere", 1), None),
+         ("sphere", 1)),
         # after peeling {2}, {1}, {1, 3}, {3} leave no private vertex;
         # the antichain {1}, {3} peels on to a sphere
         (I(3, "x1*x2", "x1*x3", "x2*x3", "x2^3"), (1, 3, 1), {3: 1},
-         ("sphere", 2), None),
+         ("sphere", 2)),
         # a partial peel that ends on the dual (4 members on 3 vertices)
         (I(4, "x2*x3", "x2*x4^2", "x1^3*x4", "x1*x3*x4^2"), (3, 1, 1, 2),
-         {3: 2}, ("left", 1), "dual"),
-        # a partial peel that ends on the nerve (3 members on 4 vertices)
+         {3: 2}, ("left", 1)),
+        # a partial peel that ends on the dual (3 members on 4 vertices)
         (I(5, "x1*x2", "x1*x4*x5^2", "x2*x4*x5^2", "x3^3*x5", "x4^2*x5^2"),
-         (1, 1, 3, 1, 2), {3: 2}, ("left", 1), "nerve"),
+         (1, 1, 3, 1, 2), {3: 2}, ("left", 1)),
     ]
-    for J, b, expected, route, presentation in pinned:
+    for J, b, expected, route in pinned:
         assert b in resolution._lcm_lattice(J, Caps())
         assert _by_dual(J, b) == expected, (J, b)
         assert _peel_reference(J, b)[:2] == route, (J, b)
         face_spy.clear()
         assert resolution._element_betti(J, b) == expected, (J, b)
-        if presentation is None:
+        if route[0] != "left":
             assert face_spy == [], (J, b)
         else:
-            # the presentation is built on the reduced w', not on supp b
+            # the dual is built on the reduced w', not on supp b
             w_left = _mask(_peel_reference(J, b)[2])
-            assert face_spy == [(presentation, w_left)], (J, b)
-            assert w_left != resolution._koszul_dual(J, b)[0]
+            assert face_spy == [("dual", w_left)], (J, b)
+            assert w_left != _koszul_dual_scan(J, b)[0]
 
 
 def test_most_lattice_elements_enumerate_no_face(face_spy):

@@ -365,6 +365,18 @@ def test_search_tries_only_the_least_degree_left():
     assert linear_quotients_order(J, node_budget=3) is None
 
 
+def test_search_backtracks_out_of_a_dead_prefix():
+    # made-up colon rows on which the first branch dies: after u0 only u1
+    # is admissible, and after {u0, u1} nothing is; the search then finds
+    # u1, u2, u0 in five nodes, skipping the dead {u0, u1} on the way
+    rows = [[(0b110, 0b110)], [(0b001, 0b001)], [(0b010, 0b010)]]
+    gens, degs = ("u0", "u1", "u2"), (2, 2, 2)
+    witness = QuotientOrder(("u1", "u2", "u0"), (0, 1, 1))
+    assert structure._search_order(gens, degs, rows, None) == witness
+    assert structure._search_order(gens, degs, rows, 5) == witness
+    assert structure._search_order(gens, degs, rows, 4) is UNDECIDED
+
+
 # ---------------------------------------------------------------------------
 # the stored-order check against the plain search
 
