@@ -11,7 +11,7 @@ bottom element included.  lq-generators bounds the generators of any
 linear-quotients search; past it the auto Betti and regularity engines
 skip the certificate.  component-enum bounds the monomials of a degree
 component, the Koszul strand bases, and the (d+1)*2d exponents of the
-overlapping-windows family (`family thm23 --d`).
+overlapping-windows family (`family thm23 --d`).  Values are integers >= 0.
 """
 
 import os
@@ -53,11 +53,13 @@ def _from_env(base: Caps) -> Caps:
         if key not in _KEYMAP:
             raise CapsFormatError(f"unknown {_ENV_VAR} key: {key!r}")
         try:
-            overrides[_KEYMAP[key]] = int(value)
+            cap = overrides[_KEYMAP[key]] = int(value)
         except ValueError:
+            cap = -1
+        if cap < 0:
             raise CapsFormatError(
-                f"{_ENV_VAR} value for {key!r} is not an integer: "
-                f"{value.strip()!r}") from None
+                f"{_ENV_VAR} value for {key!r} is not a nonnegative "
+                f"integer: {value.strip()!r}")
     return replace(base, **overrides)
 
 

@@ -9,13 +9,15 @@ Edge ideals, complementary edge ideals and the P and J of a
 decomposition are built from distinct squarefree monomials of one degree,
 which are minimal, so they skip the constructor's checks.  The closed
 forms of grad^l(I^k) are read off one table of exponent-tuple products
-per decomposition.
+per decomposition, whose J-free part a caller may share across
+decompositions with the same n, k, v and P.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import compress
 from operator import add
 from typing import FrozenSet, List, Optional, Tuple
 
@@ -181,8 +183,9 @@ def quadratic_decomposition(I: MonomialIdeal) -> Optional[QuadraticDecomposition
     return None
 
 
-def gradient_power_closed_forms(dec: QuadraticDecomposition, n: int,
-                                k: int) -> Tuple[MonomialIdeal, ...]:
+def gradient_power_closed_forms(dec: QuadraticDecomposition, n: int, k: int,
+                                _memo: Optional[dict] = None
+                                ) -> Tuple[MonomialIdeal, ...]:
     """The closed forms of grad^l(I^k) for l = 0..2k, with I = x_v*P + J:
 
         l < k:   sum over r = 0..l of x_v^(k-r) N^r P^(k-l)
@@ -191,13 +194,15 @@ def gradient_power_closed_forms(dec: QuadraticDecomposition, n: int,
 
     where N is generated by the variables other than x_v, so that m^p is
     the sum of the x_v^a N^(p-a).  Each power and each product of powers
-    is formed once, as exponent tuples with their support masks.  Every
-    term of a level is generated in degree 2k - l, so the union of its
-    product sets is its minimal generating set.
+    is formed once, as exponent tuples with their support masks; a
+    caller's _memo keeps the J-free products per (n, k, v, P) and each m^p
+    per (n, p) across calls.  Every term of a level is generated in degree
+    2k - l, so the union of its product sets is its minimal generating set.
     """
     if k < 1:
         raise DomainError("k must be >= 1")
     v, unit = dec.v, (0,) * n
+    memo = {} if _memo is None else _memo
 
     def powers(masks):  # X^0..X^k as {u: support mask of u}
         out = [{unit: 0}]
@@ -206,35 +211,44 @@ def gradient_power_closed_forms(dec: QuadraticDecomposition, n: int,
                         for u, m in out[-1].items() for g, gm in masks})
         return out
 
-    factors = (powers([(variable(n, v), 1 << (v - 1))]),
-               powers([(variable(n, i), 1 << (i - 1))
-                       for i in range(1, n + 1) if i != v]),
-               powers(list(zip(dec.P.gens, dec.P._masks))),
-               powers(list(zip(dec.J.gens, dec.J._masks))))
-    products = {(0, 0, 0, 0): {unit: 0}}
+    shared = n, k, v, dec.P.gens
+    j_free, factors = memo.get(shared), [None] * 3
+    if j_free is None:  # else it holds every J-free product the levels use
+        j_free = {(0, 0, 0, 0): {unit: 0}}
+        factors = [powers([(variable(n, v), 1 << (v - 1))]),
+                   powers([(variable(n, i), 1 << (i - 1))
+                           for i in range(1, n + 1) if i != v]),
+                   powers(list(zip(dec.P.gens, dec.P._masks)))]
+    factors.append(powers(list(zip(dec.J.gens, dec.J._masks))))
+    products = {}
 
     def product(key):  # x_v^a N^b P^c J^e for key = (a, b, c, e)
-        if key not in products:
-            t = max(i for i, a in enumerate(key) if a)  # the last factor
-            products[key] = {
-                tuple(map(add, u, w)): m | wm
-                for u, m in product(key[:t] + (0,) * (4 - t)).items()
-                for w, wm in factors[t][key[t]].items()}
-        return products[key]
+        out = j_free[0, 0, 0, 0]
+        for t in compress(range(4), key):  # one more factor per step
+            part = key[:t + 1] + (0,) * (3 - t)
+            table = products if t == 3 else j_free
+            if part not in table:
+                table[part] = {tuple(map(add, u, w)): m | wm
+                               for u, m in out.items()
+                               for w, wm in factors[t][key[t]].items()}
+            out = table[part]
+        return out
 
-    levels = []
-    for ell in range(k):
-        levels.append([(k - r, r, k - ell, 0) for r in range(ell + 1)]
-                      + [(k - s, ell, k - s, s - ell)
-                         for s in range(ell + 1, k + 1)])
-    for p in range(k, -1, -1):
-        levels.append([(a, p - a, 0, 0) for a in range(p + 1)])
     forms = []
-    for ell, keys in enumerate(levels):
+    for ell in range(k):
         masks = {}
-        for key in keys:
+        for key in ([(k - r, r, k - ell, 0) for r in range(ell + 1)]
+                    + [(k - s, ell, k - s, s - ell)
+                       for s in range(ell + 1, k + 1)]):
             masks.update(product(key))
         forms.append(_equigenerated(n, 2 * k - ell, masks))
+    for p in range(k, -1, -1):
+        if (n, p) not in memo:
+            memo[n, p] = _equigenerated(n, p, {
+                u: m for a in range(p + 1)
+                for u, m in product((a, p - a, 0, 0)).items()})
+        forms.append(memo[n, p])
+    memo[shared] = j_free
     return tuple(forms)
 
 

@@ -95,10 +95,10 @@ def colex_shadow_oracle(a: int, d: int, caps: Optional[Caps] = None) -> int:
         return 0
     caps = caps or default_caps()
     family = _colex_d_subsets(a, d, caps.colex_enum)
-    shadow = set()
+    shadow = set()  # (d-1)-subsets as bitmasks over the positive integers
     for S in family:
-        for i in range(d):
-            shadow.add(S[:i] + S[i + 1:])
+        mask = sum(1 << x for x in S)
+        shadow.update(mask ^ 1 << x for x in S)
     return len(shadow)
 
 

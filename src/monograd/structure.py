@@ -1,12 +1,12 @@
 """Decision procedures for structural classes of monomial ideals:
 linear quotients, vertex splittability, (componentwise) polymatroidality,
-and (strong) stability.  The colon rows of the linear-quotients search
-and the polymatroidal test read the exponent index of G(I).
+and (strong) stability.  The linear-quotients search reads one colon
+table of G(I) (per variable and exponent, the generators above it and
+those one above), the polymatroidal test the exponent index of G(I).
 
-The linear-quotients search checks the stored order of G(I) first, in
-one pass; only when that order is not a witness does it backtrack.  Both
-decide the admissibility of a generator after a prefix by one routine,
-_colon_size, on the generator's colon row.
+The search checks the stored order first, in one pass that reads each
+candidate's colon data off the table and keeps nothing; only when that
+order is not a witness are colon rows built for the backtracking search.
 """
 
 from __future__ import annotations
@@ -14,15 +14,14 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import reduce
-from itertools import compress, count, repeat
-from operator import and_, getitem, or_, xor
+from itertools import compress, count
+from operator import and_, getitem, or_
 from typing import Dict, Optional, Tuple, Union
 
 from .caps import Caps, default_caps
 from .errors import DomainError, ResourceCapError
 from .monomials import (
     MonomialIdeal,
-    _ExponentIndex,
     deg,
     divide_by_variable,
     mono_mul,
@@ -54,25 +53,40 @@ class QuotientOrder:
     colon_sizes: Tuple[int, ...]
 
 
-def _colon_row(index: _ExponentIndex, u: tuple):
-    """The colon row of candidate u: the pairs (step_k, cover_k) over the
-    variables x_k with step_k nonzero, each a bitmask over the generators
-    u_j of the exponent index.
+def _colon_table(gens):
+    """For each variable x_k, {e: (cover, next)} over the exponents e at x_k
+    in gens: the masks of the u_j with u_j[k] > e and with u_j[k] = e + 1."""
+    full = (1 << len(gens)) - 1
+    table = []
+    for col in zip(*gens):
+        exact = {}
+        for j, e in compress(enumerate(col), col):
+            exact[e] = exact.get(e, 0) | 1 << j
+        exact[0] = full ^ sum(exact.values())
+        above, pairs = full, {}
+        for e in sorted(exact):
+            above ^= exact[e]
+            pairs[e] = above, exact.get(e + 1, 0)
+        table.append(pairs)
+    return table
 
-    cover_k has bit j set when x_k divides u_j : u, i.e. u_j[k] > u[k];
-    step_k has bit j set when u_j : u is exactly x_k, i.e. u_j[k] =
-    u[k] + 1 and no other variable covers u_j.  The u_j above u at x_k
-    are the complement of index.le[k][u[k]], those exactly one above are
-    index.exact[k][u[k] + 1].
-    """
-    cover = list(map(xor, repeat(index.full), map(getitem, index.le, u)))
-    once = twice = 0  # covered by at least one, by at least two variables
-    for c in cover:
+
+def _single(pairs) -> int:
+    """The u_j that exactly one variable covers, given (cover, next) pairs."""
+    once = twice = 0
+    for c, _ in pairs:
         twice |= once & c
         once |= c
-    single = once ^ twice
-    return [(s, c) for ex, e, c in zip(index.exact, u, cover)
-            if (s := ex.get(e + 1, 0) & single)]
+    return once ^ twice
+
+
+def _colon_row(table, u: tuple):
+    """The colon row of candidate u: the pairs (step_k, cover_k), for the
+    x_k with step_k nonzero, of the masks of the u_j with x_k dividing
+    u_j : u and with u_j : u = x_k (u_j[k] = u[k] + 1, no other cover)."""
+    pairs = list(map(getitem, table, u))
+    single = _single(pairs)
+    return [(s, c) for c, x in pairs if (s := x & single)]
 
 
 def _colon_size(row, prefix_mask: int) -> Optional[int]:
@@ -84,6 +98,18 @@ def _colon_size(row, prefix_mask: int) -> Optional[int]:
     return None if prefix_mask & ~reduce(or_, hit, 0) else len(hit)
 
 
+def _table_colon_size(table, u: tuple, prefix_mask: int) -> Optional[int]:
+    """_colon_size for u, read off the colon table without a row."""
+    pairs = list(map(getitem, table, u))
+    steps = prefix_mask & _single(pairs)
+    covered = r = 0
+    for c, x in pairs:
+        if x & steps:
+            covered |= c
+            r += 1
+    return None if prefix_mask & ~covered else r
+
+
 def linear_quotients_order(
         I: MonomialIdeal, caps: Optional[Caps] = None,
         node_budget: Optional[int] = None,
@@ -93,14 +119,14 @@ def linear_quotients_order(
 
     An ideal with linear quotients has them in such an order (Jahan-Zheng,
     JCTA 117, 2010), so each node tries only the remaining generators of
-    least degree.  The stored order is checked first, in one pass that
-    builds each candidate's colon row as it goes; when it is a witness the
-    search below would find it first, spending mu nodes.  Otherwise the
-    search backtracks over prefixes, the stored order first; admissibility
-    of the next generator depends only on the prefix as a set, so dead
-    prefixes are memoized.  Returns a witness order, None when the search
-    space is exhausted, or UNDECIDED when a node budget is given and runs
-    out.
+    least degree.  The stored order is checked first, in one pass over the
+    colon table that holds one candidate at a time; when it is a witness
+    the search below would find it first, spending mu nodes.  Otherwise
+    the colon rows of all generators are built and the search backtracks
+    over prefixes, the stored order first; admissibility of the next
+    generator depends only on the prefix as a set, so dead prefixes are
+    memoized.  Returns a witness order, None when the search space is
+    exhausted, or UNDECIDED when a node budget is given and runs out.
     """
     if I.is_zero or I.is_unit:
         raise DomainError("linear-quotients search needs a proper nonzero ideal")
@@ -111,18 +137,17 @@ def linear_quotients_order(
     if m == 1:
         return QuotientOrder((I.gens[0],), (0,))
 
-    gens, index = I.gens, I._exponent_index()
-    rows, sizes = [], []
+    gens, table = I.gens, _colon_table(I.gens)
     if node_budget is None or node_budget >= m:
+        sizes = []
         for i, u in enumerate(gens):
-            rows.append(_colon_row(index, u))
-            if (r := _colon_size(rows[i], (1 << i) - 1)) is None:
+            if (r := _table_colon_size(table, u, (1 << i) - 1)) is None:
                 break
             sizes.append(r)
         else:
             return QuotientOrder(gens, tuple(sizes))
-    rows += [_colon_row(index, u) for u in gens[len(rows):]]
-    return _search_order(gens, I._degs, rows, node_budget)
+    return _search_order(gens, I._degs, [_colon_row(table, u) for u in gens],
+                         node_budget)
 
 
 def _search_order(gens, degs, rows, node_budget):

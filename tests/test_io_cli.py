@@ -204,6 +204,8 @@ def test_cli_verify(capsys):
     ["prop3.3", "--param", "samples=-1"],
     ["thm5.1", "--param", "samples=-1"],
     ["thm5.1", "--param", "n=2", "--param", "d=2"],
+    ["thm6.1", "--param", "k=-1"],
+    ["thm6.1", "--param", "k=0"],
 ])
 def test_cli_verify_bad_param(argv, capsys):
     assert run_cli(["verify", *argv]) == 2
@@ -211,6 +213,8 @@ def test_cli_verify_bad_param(argv, capsys):
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert captured.out == ""
+    if argv[0] == "thm6.1":  # one check, one message, for every bad k
+        assert err[0] == f"error: k must be >= 1, got {argv[2][2:]}"
 
 
 def test_cli_malformed_input(tmp_path, capsys):
@@ -245,13 +249,30 @@ def test_cli_malformed_input(tmp_path, capsys):
         assert len(err) == 1 and err[0].startswith("error: "), doc
 
 
-@pytest.mark.parametrize("setting", ["no-such-cap=5", "lq-generators=abc"])
+@pytest.mark.parametrize("setting", ["no-such-cap=5", "lq-generators=abc",
+                                     "lq-generators=-1", "nonface-unions=-1",
+                                     "component-enum=0,colex-enum=-7"])
 def test_cli_malformed_caps_setting(ideal_file, monkeypatch, capsys, setting):
     f = ideal_file({"n": 2, "gens": [[1, 1]]})
     monkeypatch.setenv("MONOGRAD_CAPS", setting)
     assert run_cli(["reg", f]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+    if "=-" in setting:
+        assert "nonnegative" in err[0]
+
+
+def test_cli_zero_caps_are_valid(ideal_file, monkeypatch, capsys):
+    # 0 is a cap, not a malformed setting: the certificate and the walk
+    # step aside and reg answers by Koszul, while a search that needs
+    # generators reports the cap it hit
+    f = ideal_file({"n": 2, "gens": [[1, 1], [2, 0]]})
+    monkeypatch.setenv("MONOGRAD_CAPS", "lq-generators=0,nonface-unions=0")
+    assert run_cli(["reg", f]) == 0
+    assert capsys.readouterr().out.strip() == "2"
+    assert run_cli(["check", "linear-quotients", f]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "lq-generators" in err[0] and "limit 0" in err[0]
 
 
 def test_cli_nonface_unions_cap(ideal_file, monkeypatch, capsys):

@@ -8,9 +8,8 @@ from monograd.caps import Caps
 from monograd.errors import DomainError, ResourceCapError
 from monograd.gradient import gradient
 from monograd import structure
-from monograd.monomials import (MonomialIdeal, _ExponentIndex,
-                                divide_by_variable, mono_mul, supp, variable,
-                                veronese_type)
+from monograd.monomials import (MonomialIdeal, divide_by_variable, mono_mul,
+                                supp, variable, veronese_type)
 from monograd.structure import (UNDECIDED, QuotientOrder, _colon_row,
                                 has_linear_quotients,
                                 is_componentwise_polymatroidal,
@@ -18,7 +17,7 @@ from monograd.structure import (UNDECIDED, QuotientOrder, _colon_row,
                                 is_strongly_stable, is_vertex_splittable,
                                 linear_quotients_order, stable_closure,
                                 strongly_stable_closure, vertex_split_tree)
-from monograd.verify import random_ideal
+from monograd.verify import random_ideal, two_linear_edge_ideals
 
 
 def I(n, *strs):
@@ -285,8 +284,8 @@ def _colon_cases():
 
 
 def _colon_rows(gens):
-    index = _ExponentIndex(gens)
-    return [_colon_row(index, u) for u in gens]
+    table = structure._colon_table(gens)
+    return [_colon_row(table, u) for u in gens]
 
 
 def _colon_rows_oracle(gens):
@@ -464,30 +463,67 @@ def test_search_matches_reference_on_every_budget():
         (stored, searched, undecided)
 
 
+def test_search_matches_reference_on_thm61_levels():
+    # every level the thm6.1 suite searches at n_max = 4: I, I^2 and
+    # grad(I^2) of each 2-linear edge ideal, which all have linear
+    # quotients, on the budgets of the suite and of the certificate and
+    # on budgets that cut the search short
+    stored = searched = undecided = 0
+    for J in two_linear_edge_ideals(4):
+        square = J ** 2
+        for K in (J, square, gradient(square)):
+            m = K.mu
+            for budget in (m * K.n, m, m - 1, 1):
+                got = linear_quotients_order(K, node_budget=budget)
+                assert got == _lq_reference(K, budget), (K, budget)
+                undecided += got is UNDECIDED
+            got = linear_quotients_order(K)
+            assert got == _lq_reference(K), K
+            stored += got.order == K.gens
+            searched += got.order != K.gens
+    assert stored > 100 and searched >= 10 and undecided > 200, \
+        (stored, searched, undecided)
+
+
 def test_stored_order_witness_skips_the_search(monkeypatch):
     # when the stored order is a witness and the budget covers its mu
-    # nodes, one colon row per generator is built and the search never
-    # runs; otherwise the search gets every row
-    rows, searches = [], []
-    row, search = structure._colon_row, structure._search_order
+    # nodes, the stored-order pass visits each generator once, in stored
+    # order, no colon row is built and the search never runs; otherwise
+    # the pass stops at the first inadmissible generator (or does not run
+    # when the budget is below mu) and the search gets every row
+    visits, rows, searches = [], [], []
+    size, row, search = (structure._table_colon_size, structure._colon_row,
+                         structure._search_order)
+    monkeypatch.setattr(structure, "_table_colon_size",
+                        lambda table, u, prefix:
+                        visits.append(u) or size(table, u, prefix))
     monkeypatch.setattr(structure, "_colon_row",
-                        lambda index, u: rows.append(u) or row(index, u))
+                        lambda table, u: rows.append(u) or row(table, u))
     monkeypatch.setattr(structure, "_search_order",
                         lambda *a: searches.append(a) or search(*a))
-    skipped = 0
+    skipped = stopped = 0
     for J in _lq_sweep():
         if J.mu == 1:
             continue
         ref = _lq_reference(J)
         on_stored = ref is not None and ref.order == J.gens
         for budget in (None, J.mu, J.mu - 1):
+            visits.clear()
             rows.clear()
             searches.clear()
             got = linear_quotients_order(J, node_budget=budget)
             if on_stored and budget != J.mu - 1:
                 assert got.order == J.gens and not searches, J
+                assert visits == list(J.gens) and not rows, J
                 skipped += 1
             else:
                 assert len(searches) == 1, J
-            assert rows == list(J.gens), J
-    assert skipped > 600
+                assert rows == list(J.gens) == list(searches[0][0]), J
+                assert len(searches[0][2]) == J.mu, J
+                if budget == J.mu - 1:
+                    assert not visits, J
+                else:  # the pass stopped at its first inadmissible u
+                    assert 1 < len(visits) <= J.mu, J
+                    assert visits == list(J.gens[:len(visits)]), J
+                    stopped += 1
+    assert skipped > 600 and stopped > 400, (skipped, stopped)

@@ -72,7 +72,8 @@ def test_failing_check_reports_replay():
 
 def test_thm61_closed_forms_multiply_no_ideals(monkeypatch):
     # thm6.1 evaluates the closed forms once per (graph, k), from exponent
-    # tuples: no ideal product is formed inside the evaluation
+    # tuples and one memo for the whole suite: no ideal product is formed
+    # inside the evaluation
     inside, products, calls = [], [], []
     mul, forms = MonomialIdeal.__mul__, verify.gradient_power_closed_forms
 
@@ -81,11 +82,11 @@ def test_thm61_closed_forms_multiply_no_ideals(monkeypatch):
             products.append((self, other))
         return mul(self, other)
 
-    def spy_forms(dec, n, k):
+    def spy_forms(dec, n, k, _memo=None):
         inside.append(k)
-        calls.append((dec, k))
+        calls.append((dec, k, _memo))
         try:
-            return forms(dec, n, k)
+            return forms(dec, n, k, _memo=_memo)
         finally:
             inside.pop()
 
@@ -94,4 +95,6 @@ def test_thm61_closed_forms_multiply_no_ideals(monkeypatch):
     rep = verify_theorem("thm6.1", {"n_max": 4}, seed=0)
     assert rep.passed
     assert len(calls) == 2 * len(list(two_linear_edge_ideals(4))) > 0
+    assert calls[0][2] is not None
+    assert all(memo is calls[0][2] for _, _, memo in calls)
     assert not products
