@@ -184,6 +184,16 @@ class _AtMost(dict):
         return self[self.exps[bisect_right(self.exps, e) - 1]]
 
 
+def _exact_masks(col, full: int) -> dict:
+    """{e: the mask of the j with col[j] = e} over the exponents e in col,
+    0 included; bit j of full stands for col[j]."""
+    exact = {}
+    for j, e in compress(enumerate(col), col):
+        exact[e] = exact.get(e, 0) | 1 << j
+    exact[0] = full ^ sum(exact.values())  # the masks are disjoint
+    return exact
+
+
 class _ExponentIndex:
     """Bit-sliced exponent tables of monomials u_0..u_{M-1}, bit j of each
     mask standing for u_j: exact[k][e] and le[k][e] are the masks of the
@@ -199,12 +209,10 @@ class _ExponentIndex:
         self.full = full = (1 << len(gens)) - 1
         self.exact, self.le = [], []
         for col in zip(*gens):
-            ex = {}
-            for j, e in compress(enumerate(col), col):
-                ex[e] = ex.get(e, 0) | 1 << j
+            ex = _exact_masks(col, full)
             le = _AtMost()
-            le.exps = exps = [0] + sorted(ex)
-            ex[0] = acc = full ^ sum(ex.values())  # disjoint masks
+            le.exps = exps = sorted(ex)
+            acc = 0
             for e in exps:
                 acc = le[e] = acc | ex[e]
             self.exact.append(ex)

@@ -4,9 +4,10 @@ and (strong) stability.  The linear-quotients search reads one colon
 table of G(I) (per variable and exponent, the generators above it and
 those one above), the polymatroidal test the exponent index of G(I).
 
-The search checks the stored order first, in one pass that reads each
-candidate's colon data off the table and keeps nothing; only when that
-order is not a witness are colon rows built for the backtracking search.
+The search checks the stored order first, in one pass that builds each
+candidate's colon row off the table and drops it after use; only when
+that order is not a witness are the rows of all generators built for the
+backtracking search.
 """
 
 from __future__ import annotations
@@ -15,13 +16,14 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import reduce
 from itertools import compress, count
-from operator import and_, getitem, or_
+from operator import and_, getitem
 from typing import Dict, Optional, Tuple, Union
 
 from .caps import Caps, default_caps
 from .errors import DomainError, ResourceCapError
 from .monomials import (
     MonomialIdeal,
+    _exact_masks,
     deg,
     divide_by_variable,
     mono_mul,
@@ -59,10 +61,7 @@ def _colon_table(gens):
     full = (1 << len(gens)) - 1
     table = []
     for col in zip(*gens):
-        exact = {}
-        for j, e in compress(enumerate(col), col):
-            exact[e] = exact.get(e, 0) | 1 << j
-        exact[0] = full ^ sum(exact.values())
+        exact = _exact_masks(col, full)
         above, pairs = full, {}
         for e in sorted(exact):
             above ^= exact[e]
@@ -71,21 +70,16 @@ def _colon_table(gens):
     return table
 
 
-def _single(pairs) -> int:
-    """The u_j that exactly one variable covers, given (cover, next) pairs."""
-    once = twice = 0
-    for c, _ in pairs:
-        twice |= once & c
-        once |= c
-    return once ^ twice
-
-
 def _colon_row(table, u: tuple):
     """The colon row of candidate u: the pairs (step_k, cover_k), for the
     x_k with step_k nonzero, of the masks of the u_j with x_k dividing
     u_j : u and with u_j : u = x_k (u_j[k] = u[k] + 1, no other cover)."""
     pairs = list(map(getitem, table, u))
-    single = _single(pairs)
+    once = twice = 0  # the u_j covered by at least one / two variables
+    for c, _ in pairs:
+        twice |= once & c
+        once |= c
+    single = once ^ twice
     return [(s, c) for c, x in pairs if (s := x & single)]
 
 
@@ -94,17 +88,9 @@ def _colon_size(row, prefix_mask: int) -> Optional[int]:
     of u, or None when they do not generate it.  The variables that are
     colons u_j : u, j in the prefix, generate (prefix) : u iff they divide
     every such colon."""
-    hit = [c for s, c in row if s & prefix_mask]
-    return None if prefix_mask & ~reduce(or_, hit, 0) else len(hit)
-
-
-def _table_colon_size(table, u: tuple, prefix_mask: int) -> Optional[int]:
-    """_colon_size for u, read off the colon table without a row."""
-    pairs = list(map(getitem, table, u))
-    steps = prefix_mask & _single(pairs)
     covered = r = 0
-    for c, x in pairs:
-        if x & steps:
+    for s, c in row:
+        if s & prefix_mask:
             covered |= c
             r += 1
     return None if prefix_mask & ~covered else r
@@ -120,7 +106,7 @@ def linear_quotients_order(
     An ideal with linear quotients has them in such an order (Jahan-Zheng,
     JCTA 117, 2010), so each node tries only the remaining generators of
     least degree.  The stored order is checked first, in one pass over the
-    colon table that holds one candidate at a time; when it is a witness
+    colon table that holds one candidate's row at a time; when it is a witness
     the search below would find it first, spending mu nodes.  Otherwise
     the colon rows of all generators are built and the search backtracks
     over prefixes, the stored order first; admissibility of the next
@@ -141,7 +127,7 @@ def linear_quotients_order(
     if node_budget is None or node_budget >= m:
         sizes = []
         for i, u in enumerate(gens):
-            if (r := _table_colon_size(table, u, (1 << i) - 1)) is None:
+            if (r := _colon_size(_colon_row(table, u), (1 << i) - 1)) is None:
                 break
             sizes.append(r)
         else:

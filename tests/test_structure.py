@@ -487,16 +487,12 @@ def test_search_matches_reference_on_thm61_levels():
 
 def test_stored_order_witness_skips_the_search(monkeypatch):
     # when the stored order is a witness and the budget covers its mu
-    # nodes, the stored-order pass visits each generator once, in stored
-    # order, no colon row is built and the search never runs; otherwise
-    # the pass stops at the first inadmissible generator (or does not run
-    # when the budget is below mu) and the search gets every row
-    visits, rows, searches = [], [], []
-    size, row, search = (structure._table_colon_size, structure._colon_row,
-                         structure._search_order)
-    monkeypatch.setattr(structure, "_table_colon_size",
-                        lambda table, u, prefix:
-                        visits.append(u) or size(table, u, prefix))
+    # nodes, the stored-order pass builds one colon row per generator, in
+    # stored order, and the search never runs; otherwise the pass stops at
+    # the first inadmissible generator (or does not run when the budget is
+    # below mu) and the search gets a fresh row for every generator
+    rows, searches = [], []
+    row, search = structure._colon_row, structure._search_order
     monkeypatch.setattr(structure, "_colon_row",
                         lambda table, u: rows.append(u) or row(table, u))
     monkeypatch.setattr(structure, "_search_order",
@@ -508,17 +504,17 @@ def test_stored_order_witness_skips_the_search(monkeypatch):
         ref = _lq_reference(J)
         on_stored = ref is not None and ref.order == J.gens
         for budget in (None, J.mu, J.mu - 1):
-            visits.clear()
             rows.clear()
             searches.clear()
             got = linear_quotients_order(J, node_budget=budget)
             if on_stored and budget != J.mu - 1:
                 assert got.order == J.gens and not searches, J
-                assert visits == list(J.gens) and not rows, J
+                assert rows == list(J.gens), J
                 skipped += 1
             else:
                 assert len(searches) == 1, J
-                assert rows == list(J.gens) == list(searches[0][0]), J
+                visits, built = rows[:-J.mu], rows[-J.mu:]
+                assert built == list(J.gens) == list(searches[0][0]), J
                 assert len(searches[0][2]) == J.mu, J
                 if budget == J.mu - 1:
                     assert not visits, J

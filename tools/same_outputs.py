@@ -1,7 +1,7 @@
 """Print one sha256 over monograd's answers on a fixed set of inputs.
 
 Run it at two commits and compare the hashes: equal hashes mean
-byte-identical outputs.  The inputs are
+byte-identical exit codes, stdout and stderr.  The inputs are
 
 - the queries of the benchmark's homology workload for seeds 0-5, each
   answered by `betti --json` and by `reg --json` (the queries are built by
@@ -9,16 +9,18 @@ byte-identical outputs.  The inputs are
   anything under `perfbench/`);
 - `verify <id> --seed 0 --json` for every verify suite.
 
-Each output enters the hash with a label naming its command, seed and
-query (not the temporary file path) and its exit code.
+Each command enters the hash with a label naming it, its seed and query
+(not the temporary file path), its exit code, stdout and stderr.
 
     python tools/same_outputs.py
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import importlib.util
+import io
 import sys
 import tempfile
 from pathlib import Path
@@ -36,29 +38,39 @@ def _workloads():
     return module
 
 
+def _run(argv):
+    """(exit code, stdout, stderr) of `monograd <argv>`, run in-process."""
+    from monograd.cli import run_cli
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_cli(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
 def outputs():
-    """(label, exit code, stdout) of every command, in a fixed order."""
+    """(label, exit code, stdout, stderr) of every command, in a fixed
+    order."""
     workloads = _workloads()
-    cli = workloads._cli
     with tempfile.TemporaryDirectory() as tmp:
         for seed in SEEDS:
             queries = workloads.Homology(seed, Path(tmp) / f"seed{seed}")
             for i, path in enumerate(queries.paths):
                 for command in ("betti", "reg"):
                     yield (f"{command} seed={seed} query={i}",
-                           *cli([command, path, "--json"]))
+                           *_run([command, path, "--json"]))
     from monograd.verify import VERIFY_IDS
 
     for vid in VERIFY_IDS:
         yield (f"verify {vid} seed=0",
-               *cli(["verify", vid, "--seed", "0", "--json"]))
+               *_run(["verify", vid, "--seed", "0", "--json"]))
 
 
 def main() -> None:
     sys.path.insert(0, str(ROOT / "src"))
     digest = hashlib.sha256()
-    for label, code, out in outputs():
-        digest.update(f"{label}\t{code}\n{out}\n".encode())
+    for label, code, out, err in outputs():
+        digest.update(f"{label}\t{code}\n{out}\n{err}\n".encode())
     print(digest.hexdigest())
 
 
