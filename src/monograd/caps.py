@@ -15,20 +15,11 @@ overlapping-windows family (`family thm23 --d`).  Values are integers >= 0.
 """
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .errors import CapsFormatError
 
 _ENV_VAR = "MONOGRAD_CAPS"
-
-_KEYMAP = {
-    "polarized-vars": "polarized_vars",
-    "component-enum": "component_enum",
-    "lq-generators": "lq_generators",
-    "colex-enum": "colex_enum",
-    "nonface-unions": "nonface_unions",
-}
-
 
 @dataclass(frozen=True)
 class Caps:
@@ -37,6 +28,9 @@ class Caps:
     lq_generators: int = 64
     colex_enum: int = 10**6
     nonface_unions: int = 1 << 20
+
+
+_KEYMAP = {f.name.replace("_", "-"): f.name for f in fields(Caps)}
 
 
 def _from_env(base: Caps) -> Caps:

@@ -23,16 +23,16 @@ from .kruskal import (closed_form_count, closed_form_shadow, colex_shadow_oracle
 from .monomials import MonomialIdeal, is_complete_intersection, monomial_str
 from .resolution import (betti_table, has_differential_linear_resolution,
                          has_linear_resolution, regularity)
-from .structure import (is_componentwise_polymatroidal, is_polymatroidal,
-                        is_stable, is_strongly_stable, is_vertex_splittable,
-                        linear_quotients_order)
+from .structure import (has_linear_quotients, is_componentwise_polymatroidal,
+                        is_polymatroidal, is_stable, is_strongly_stable,
+                        is_vertex_splittable)
 from .verify import VERIFY_IDS, verify_theorem
 
 _CHECKS = {
     "linear-resolution": has_linear_resolution,
     "differential-linear-resolution":
         lambda I: bool(has_differential_linear_resolution(I)),
-    "linear-quotients": lambda I: linear_quotients_order(I) is not None,
+    "linear-quotients": has_linear_quotients,
     "vertex-splittable": is_vertex_splittable,
     "polymatroidal": is_polymatroidal,
     "componentwise-polymatroidal": is_componentwise_polymatroidal,

@@ -62,11 +62,12 @@ class SimplicialComplex:
 
     @classmethod
     def _from_masks(cls, n: int,
-                    nonface_masks: Iterable[int]) -> "SimplicialComplex":
-        """The complex on [n] with the given nonfaces, as masks inside
-        [n], without the vertex-list conversion of the constructor."""
+                    nonface_masks: Tuple[int, ...]) -> "SimplicialComplex":
+        """The complex on [n] with the given minimal nonfaces, masks inside
+        [n] as `_antichain` returns them, taken as they are: neither
+        converted from vertex lists nor cut to an antichain again."""
         delta = object.__new__(cls)
-        delta._fill(n, _antichain(nonface_masks), False)
+        delta._fill(n, nonface_masks, False)
         return delta
 
     def _fill(self, n, masks, void):

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import json
 import re
-from itertools import repeat
 from typing import List, Tuple, Union
 
 from .errors import DomainError, ExponentOverflowError
 from .graphs import SimpleGraph
 from .monomials import (EXPONENT_BOUND, Monomial, MonomialIdeal,
-                        _support_mask)
+                        _is_exponent_list, _support_mask)
 
 _FACTOR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
 
@@ -54,14 +53,6 @@ def parse_monomial_string(s: str, n: int) -> Monomial:
             raise DomainError(f"variable x{i} out of range 1..{n}")
         exps[i - 1] += e
     return tuple(exps)
-
-
-def _is_exponent_list(g) -> bool:
-    """Every entry an int (not a bool) and nonnegative."""
-    kinds = set(map(type, g))
-    return ((kinds <= {int} or bool not in kinds
-             and all(map(issubclass, kinds, repeat(int))))
-            and not (g and min(g) < 0))
 
 
 def parse_generators(doc: Union[str, dict]) -> Tuple[int, List[Monomial]]:

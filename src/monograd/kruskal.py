@@ -38,10 +38,15 @@ def macaulay_rep(a: int, d: int) -> MacaulayRep:
     rest = a
     i = d
     while rest > 0:
-        # largest a_i with C(a_i, i) <= rest
-        ai = i
-        while math.comb(ai + 1, i) <= rest:
-            ai += 1
+        # largest a_i with C(a_i, i) <= rest: double the step past a_i,
+        # then bisect, keeping C(ai, i) <= rest < C(ai + step, i)
+        ai, step = i, 1
+        while math.comb(ai + step, i) <= rest:
+            ai, step = ai + step, 2 * step
+        while step > 1:
+            step //= 2
+            if math.comb(ai + step, i) <= rest:
+                ai += step
         terms.append((ai, i))
         rest -= math.comb(ai, i)
         i -= 1

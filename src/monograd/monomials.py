@@ -15,7 +15,9 @@ Divisibility is tested by a scan of the generators of degree <= deg u
 whose support mask lies inside that of u, or by the exponent index, an
 AND of n bitmasks.  An ideal builds the index of its generators once its
 scans have cost as much (ski rental), or when the lcm-lattice walk or
-the linear-quotients colon tables need it.
+the polymatroidal test needs it.  The linear-quotients search builds its
+own colon table (`structure._colon_table`) from the same per-exponent
+masks (`_exact_masks`).
 
 Variables are 1-based throughout the public API, matching x_1,...,x_n.
 """
@@ -130,6 +132,14 @@ def squarefree_monomials_of_degree(n: int, d: int):
         yield tuple(u)
 
 
+def _is_exponent_list(u) -> bool:
+    """Every entry an int (not a bool) and nonnegative."""
+    kinds = set(map(type, u))  # bool is an int subclass, not an exponent
+    return ((kinds <= {int} or bool not in kinds
+             and all(map(issubclass, kinds, repeat(int))))
+            and not (u and min(u) < 0))
+
+
 def _check_monomial(u, n: Optional[int]) -> Monomial:
     try:
         u = tuple(u)
@@ -141,9 +151,7 @@ def _check_monomial(u, n: Optional[int]) -> Monomial:
         )
     if not u:
         return u
-    kinds = set(map(type, u))  # bool is an int subclass, not an exponent
-    if (kinds != {int} and (bool in kinds or not all(
-            map(issubclass, kinds, repeat(int))))) or min(u) < 0:
+    if not _is_exponent_list(u):
         raise DomainError(f"monomial {u} has a negative or non-integer exponent")
     if max(u) > EXPONENT_BOUND:
         raise ExponentOverflowError(f"exponent exceeds bound {EXPONENT_BOUND}")

@@ -43,17 +43,17 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import reduce
-from itertools import combinations, compress, count
+from functools import cache, reduce
+from itertools import combinations, compress, count, product
 from operator import or_
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .caps import Caps, default_caps
 from .complexes import SimplicialComplex, _antichain
 from .errors import DomainError, ResourceCapError
 from .exact_rank import sparse_rank
 from .gradient import gradient_chain
-from .monomials import MonomialIdeal, mono_mul, monomials_of_degree, variable
+from .monomials import MonomialIdeal, monomials_of_degree
 from .structure import UNDECIDED, QuotientOrder, linear_quotients_order
 
 
@@ -247,6 +247,44 @@ def polarize(I: MonomialIdeal, caps: Optional[Caps] = None) -> Polarization:
 # ---------------------------------------------------------------------------
 # Koszul strand oracle
 
+def _koszul_basis(I: MonomialIdeal, i: int, j: int, caps: Caps) -> dict:
+    """B_i = Lambda^i (x) (S/I)_{j-i} as {(F, w): row}, F an i-subset of
+    the 0-based variables and w a standard monomial of degree j - i."""
+    n, d = I.n, j - i
+    if not 0 <= i <= n or d < 0:
+        return {}
+    need = math.comb(n, i) * (math.comb(n + d - 1, d) if n else (d == 0))
+    if need > caps.component_enum:
+        raise ResourceCapError("component-enum", caps.component_enum, need)
+    standard = [w for w in monomials_of_degree(n, d) if not I._contains(w)]
+    return {Fw: r for r, Fw in
+            enumerate(product(combinations(range(n), i), standard))}
+
+
+def _koszul_strand(I: MonomialIdeal, j: int, caps: Caps,
+                   rows) -> Dict[int, int]:
+    """{i: beta_{i,j}(S/I)} over the i in rows with a nonzero value, from
+    the degree-j strand of the Koszul complex on x_1..x_n tensored with
+    S/I: beta_{i,j} = |B_i| - rk d_i - rk d_{i+1}, with d_i sending (F, w)
+    to the sum over k of (-1)^k (F less F_k, w x_{F_k}), a term dropped
+    when w x_{F_k} is in I.  Each basis is built and each d_i ranked at
+    most once, and only for a row with B_i nonempty: an empty B_i is 0
+    and builds no neighbour."""
+    basis = cache(lambda i: _koszul_basis(I, i, j, caps))
+
+    @cache
+    def rank(i):
+        source, target = basis(i), basis(i - 1)
+        return sparse_rank([
+            {target[key]: -1 if k % 2 else 1 for k, p in enumerate(F)
+             if (key := (F[:k] + F[k + 1:],
+                         w[:p] + (w[p] + 1,) + w[p + 1:])) in target}
+            for F, w in source]) if source and target else 0
+
+    return {i: b for i in rows
+            if basis(i) and (b := len(basis(i)) - rank(i) - rank(i + 1))}
+
+
 def koszul_betti(I: MonomialIdeal, i: int, j: int,
                  caps: Optional[Caps] = None) -> int:
     """Quotient-indexed beta_{i,j}(S/I) from the degree-j Koszul strand.
@@ -258,64 +296,24 @@ def koszul_betti(I: MonomialIdeal, i: int, j: int,
         raise DomainError("Betti indices must be nonnegative")
     if I.is_unit:
         raise DomainError("koszul_betti requires a proper ideal")
-    caps = caps or default_caps()
-    n = I.n
-    if i > n:
-        return 0
-
-    def strand_basis(ii: int) -> List[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
-        d = j - ii
-        if d < 0 or ii < 0 or ii > n:
-            return []
-        count = math.comb(n, ii) * (math.comb(n + d - 1, d) if n else (d == 0))
-        if count > caps.component_enum:
-            raise ResourceCapError("component-enum", caps.component_enum, count)
-        standard = [w for w in monomials_of_degree(n, d) if not I.contains(w)]
-        return [(F, w) for F in combinations(range(1, n + 1), ii)
-                for w in standard]
-
-    def differential(source, target_index):
-        cols = []
-        for F, w in source:
-            col = {}
-            for k, p in enumerate(F):
-                G = F[:k] + F[k + 1:]
-                v = mono_mul(w, variable(len(w), p))
-                row = target_index.get((G, v))
-                if row is not None:
-                    col[row] = -1 if k % 2 else 1
-            cols.append(col)
-        return cols
-
-    b_i = strand_basis(i)
-    if not b_i:
-        return 0
-    b_prev = strand_basis(i - 1)
-    b_next = strand_basis(i + 1)
-    idx_prev = {fw: r for r, fw in enumerate(b_prev)}
-    idx_i = {fw: r for r, fw in enumerate(b_i)}
-    rk_i = sparse_rank(differential(b_i, idx_prev)) if b_prev else 0
-    rk_next = sparse_rank(differential(b_next, idx_i)) if b_next else 0
-    return len(b_i) - rk_i - rk_next
+    return _koszul_strand(I, j, caps or default_caps(), (i,)).get(i, 0)
 
 
-def koszul_betti_table(I: MonomialIdeal, max_j: Optional[int] = None,
+def koszul_betti_table(I: MonomialIdeal,
                        caps: Optional[Caps] = None) -> BettiTable:
-    """Full quotient-convention table via the Koszul oracle.
+    """Full quotient-convention table via the Koszul oracle, one strand
+    per internal degree j.
 
     Internal degrees are bounded by deg(lcm of the generators), the Taylor
     complex support bound.
     """
     if I.is_zero or I.is_unit:
         raise DomainError("Betti table needs a proper nonzero ideal")
-    if max_j is None:
-        max_j = sum(map(max, zip(*I.gens)))
+    caps = caps or default_caps()
     entries = {}
-    for i in range(1, I.n + 1):
-        for j in range(i, max_j + 1):
-            b = koszul_betti(I, i, j, caps)
-            if b:
-                entries[(i, j)] = b
+    for j in range(1, sum(map(max, zip(*I.gens))) + 1):
+        strand = _koszul_strand(I, j, caps, range(1, min(I.n, j) + 1))
+        entries.update(((i, j), b) for i, b in strand.items())
     return BettiTable(entries, engine="koszul")
 
 

@@ -254,8 +254,8 @@ def test_constructor_rejects_vertices_out_of_range():
     delta = SimplicialComplex(3, [{1, 3}])
     assert delta.is_face({1, 2}) and not delta.is_face({1, 2, 3})
     assert SimplicialComplex(0, [set()]).void
-    # the internal mask constructor trusts its caller's masks
-    assert SimplicialComplex._from_masks(3, [0b101]) == delta
+    # the internal mask constructor trusts its caller's antichain
+    assert SimplicialComplex._from_masks(3, (0b101,)) == delta
 
 
 def test_stanley_reisner_round_trip():

@@ -185,6 +185,22 @@ def test_cli_kk(capsys):
     assert json.loads(capsys.readouterr().out)["terms"] == [[3, 2], [2, 1]]
 
 
+def test_cli_kk_large_a_answers_at_once(capsys):
+    # each a_i costs O(log a_i) binomials, so huge a answer at once
+    assert run_cli(["kk", "rep", "--a", "300000000", "--d", "1",
+                    "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["terms"] == [[300000000, 1]]
+    assert run_cli(["kk", "rep", "--a", str(10**40), "--d", "3",
+                    "--json"]) == 0
+    terms = json.loads(capsys.readouterr().out)["terms"]
+    assert [low for _, low in terms] == [3, 2, 1]
+    assert sum(comb(top, low) for top, low in terms) == 10**40
+    assert comb(terms[0][0] + 1, 3) > 10**40
+    # the greedy bound answers; the colex oracle then exits at its cap
+    assert run_cli(["kk", "shadow", "--a", str(10**12), "--d", "2"]) == 2
+    assert "colex-enum" in capsys.readouterr().err
+
+
 def test_cli_verify(capsys):
     assert run_cli(["verify", "kk-remark", "--seed", "0", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)

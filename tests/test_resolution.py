@@ -4,11 +4,12 @@ from collections import Counter
 import pytest
 
 from monograd.caps import Caps
-from monograd.complexes import SimplicialComplex
+from monograd.complexes import SimplicialComplex, _antichain
 from monograd.errors import DomainError, ResourceCapError
 from monograd.gradient import gradient, iterated_gradient
 from monograd.graphs import family_overlap_run, family_reg_gap
-from monograd.monomials import MonomialIdeal, variable, veronese_type
+from monograd.monomials import (MonomialIdeal, monomials_of_degree, variable,
+                                veronese_type)
 import monograd.resolution as resolution
 from monograd.resolution import (betti_table,
                                  has_differential_linear_resolution,
@@ -133,7 +134,7 @@ def _koszul_dual_scan(J, b):
     w = sum(1 << k for k, e in enumerate(b) if e)
     tight = [sum(1 << k for k in range(J.n) if g[k] == b[k] > 0)
              for g in J.gens if all(gk <= bk for gk, bk in zip(g, b))]
-    return w, SimplicialComplex._from_masks(J.n, tight)
+    return w, SimplicialComplex._from_masks(J.n, _antichain(tight))
 
 
 def _index_dual(J, b):
@@ -144,7 +145,7 @@ def _index_dual(J, b):
     tight = list(resolution._tight_sets(columns).values())
     if len(tight) < divisors.bit_count():
         tight.append(0)
-    return sum(columns), SimplicialComplex._from_masks(J.n, tight)
+    return sum(columns), SimplicialComplex._from_masks(J.n, _antichain(tight))
 
 
 def _wide_exponent_ideals():
@@ -400,6 +401,66 @@ def test_truncated_element_betti_reads_the_full_profile():
             assert r == regularity(J, engine="koszul"), J
             koszul_checked.add(J)
     assert len(koszul_checked) > 90  # 96 distinct ideals seen
+
+
+def test_koszul_table_builds_each_basis_and_ranks_each_differential_once(
+        monkeypatch):
+    built, ranked = Counter(), []
+    basis, rank = resolution._koszul_basis, resolution.sparse_rank
+
+    def spy_basis(J, i, j, caps):
+        built[i, j] += 1
+        return basis(J, i, j, caps)
+
+    def spy_rank(columns):
+        ranked.append(len(columns))
+        return rank(columns)
+
+    monkeypatch.setattr(resolution, "_koszul_basis", spy_basis)
+    monkeypatch.setattr(resolution, "sparse_rank", spy_rank)
+    for J in (I(4, "x1*x2", "x2*x3", "x3*x4", "x1*x4"),
+              I(3, "x1^2", "x2^3", "x1*x3"), MonomialIdeal.maximal(3) ** 2):
+        built.clear()
+        ranked.clear()
+        koszul_betti_table(J)
+        # B_i in degree j is nonempty iff 0 <= i <= n and some monomial of
+        # degree j - i lies outside J
+        top = sum(map(max, zip(*J.gens)))
+        nonempty = {(i, j) for j in range(1, top + 1)
+                    for i in range(min(J.n, j) + 1)
+                    if any(not J.contains(w)
+                           for w in monomials_of_degree(J.n, j - i))}
+        assert max(built.values()) == 1, J
+        assert nonempty <= set(built), J
+        assert len(ranked) == sum((i - 1, j) in nonempty
+                                  for i, j in nonempty), J
+        assert 0 not in ranked
+
+
+def test_koszul_betti_builds_no_neighbour_of_an_empty_basis():
+    m = MonomialIdeal.maximal(10)
+    # every monomial of degree 9 lies in m, so B_1 in degree 10 is empty
+    # and beta_{1,10} is 0 without B_2, which is past the cap
+    assert koszul_betti(m, 1, 10, caps=Caps()) == 0
+    with pytest.raises(ResourceCapError) as err:
+        resolution._koszul_basis(m, 2, 10, Caps())
+    assert err.value.needed == 45 * 24310  # C(10, 2) * C(17, 8)
+
+
+def test_koszul_table_cap_names_the_first_basis_past_it():
+    cube = MonomialIdeal.maximal(4) ** 3
+    for cap, need in ((10, 16), (30, 40), (100, 140), (300, 336)):
+        with pytest.raises(ResourceCapError) as err:
+            koszul_betti_table(cube, caps=Caps(component_enum=cap))
+        assert (err.value.cap_name, err.value.needed) == ("component-enum",
+                                                          need)
+    J = I(3, "x1^2", "x2^3", "x1*x3")
+    for cap, need in ((10, 18), (30, 45)):
+        with pytest.raises(ResourceCapError) as err:
+            koszul_betti_table(J, caps=Caps(component_enum=cap))
+        assert err.value.needed == need
+    assert koszul_betti_table(J, caps=Caps(component_enum=100)).entries == \
+        {(1, 2): 2, (1, 3): 1, (2, 3): 1, (2, 5): 2, (3, 6): 1}
 
 
 def test_power_of_maximal_ideal_betti_table():

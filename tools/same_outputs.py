@@ -4,9 +4,10 @@ Run it at two commits and compare the hashes: equal hashes mean
 byte-identical exit codes, stdout and stderr.  The inputs are
 
 - the queries of the benchmark's homology workload for seeds 0-5, each
-  answered by `betti --json` and by `reg --json` (the queries are built by
-  `perfbench/workloads.py`, which this script imports without changing
-  anything under `perfbench/`);
+  answered by `betti --json` and by `reg --json`, and those on at most
+  `KOSZUL_MAX_N` = 5 variables also by `betti --engine koszul --json`
+  (the queries are built by `perfbench/workloads.py`, which this script
+  imports without changing anything under `perfbench/`);
 - `verify <id> --seed 0 --json` for every verify suite.
 
 Each command enters the hash with a label naming it, its seed and query
@@ -59,6 +60,10 @@ def outputs():
                 for command in ("betti", "reg"):
                     yield (f"{command} seed={seed} query={i}",
                            *_run([command, path, "--json"]))
+                if queries.queries[i][0] <= workloads.KOSZUL_MAX_N:
+                    yield (f"betti koszul seed={seed} query={i}",
+                           *_run(["betti", path, "--engine", "koszul",
+                                  "--json"]))
     from monograd.verify import VERIFY_IDS
 
     for vid in VERIFY_IDS:
