@@ -160,27 +160,28 @@ def underlying_graph(I: MonomialIdeal) -> SimpleGraph:
 
 
 def quadratic_decomposition(I: MonomialIdeal) -> Optional[QuadraticDecomposition]:
-    """Search vertices in descending order for a valid x_v*P + J split.
+    """The first of quadratic_decompositions(I), in descending v, or None
+    when no vertex qualifies (possible without linear resolution)."""
+    return next(quadratic_decompositions(I), None)
+
+
+def quadratic_decompositions(I: MonomialIdeal):
+    """Every valid x_v*P + J split of I, in descending v.
 
     P is generated by the variables adjacent to v, J is the edge ideal of
-    the graph minus v; the first v with J contained in P wins.  Returns
-    None when no vertex qualifies (possible without linear resolution).
+    the graph minus v; v is valid when J is contained in P.
     """
     G = underlying_graph(I)
     if I.support != frozenset(range(1, I.n + 1)):
         raise DomainError("decomposition requires full support; compress first")
     for v in range(I.n, 0, -1):
-        nbrs = G.neighbors(v)
-        if not nbrs:
-            continue
+        nbrs = G.neighbors(v)  # not empty, as I has full support
         rest_edges = [e for e in G.edge_pairs() if v not in e]
         # J subseteq P iff every remaining edge touches a neighbor of v
         if all(a in nbrs or b in nbrs for a, b in rest_edges):
             P = _squarefree(I.n, 1, [1 << (w - 1) for w in nbrs])
-            J = edge_ideal(SimpleGraph(I.n, rest_edges)) if rest_edges \
-                else MonomialIdeal.zero(I.n)
-            return QuadraticDecomposition(v, P, J)
-    return None
+            J = _squarefree(I.n, 2, map(_mask, rest_edges))  # 0 if none
+            yield QuadraticDecomposition(v, P, J)
 
 
 def gradient_power_closed_forms(dec: QuadraticDecomposition, n: int, k: int,

@@ -193,33 +193,46 @@ def vertex_split_tree(I: MonomialIdeal, _memo: Optional[Dict] = None):
 
     Leaves are the base cases (zero, unit, principal); internal nodes record
     the splitting variable and the two parts.  The memo is keyed by the
-    generators, which fix the variable indices a tree records.
+    generators, which fix the variable indices a tree records.  Splits run
+    on an explicit stack, as their depth can reach the sum of exponents.
     """
     memo = _memo if _memo is not None else {}
-    if I.gens in memo:
-        return memo[I.gens]
+    stack, out = [], I
+    while True:
+        if not isinstance(out, MonomialIdeal):  # the tree of the top frame
+            stack.pop()
+            tree = out
+        elif out.gens in memo:  # a part whose tree is wanted
+            tree = memo[out.gens]
+        elif out.mu < 2:  # zero, unit or principal: a leaf
+            tree = memo[out.gens] = {"base": "zero" if out.is_zero else
+                                     "unit" if out.is_unit else "principal"}
+        else:
+            stack.append(_split_steps(out, memo))
+            tree = None
+        if not stack:
+            return tree
+        out = stack[-1].send(tree)
 
-    if I.is_zero:
-        tree = {"base": "zero"}
-    elif I.is_unit:
-        tree = {"base": "unit"}
-    elif I.mu == 1:
-        tree = {"base": "principal"}
-    else:
-        tree = None
-        for i in sorted(I.support):
-            # dividing by x_i keeps the multiples of x_i minimal and
-            # canonically sorted, so x_i*G(I1) and G(I2) partition G(I)
-            div, rest = I._split(i)
-            I1 = MonomialIdeal._trusted(I.n, div, minimal=True)
-            I2 = MonomialIdeal._trusted(I.n, rest, minimal=True)
-            if (I1.contains_ideal(I2)
-                    and (t1 := vertex_split_tree(I1, memo)) is not None
-                    and (t2 := vertex_split_tree(I2, memo)) is not None):
-                tree = {"split_variable": i, "divisible_part": t1, "rest": t2}
-                break
+
+def _split_steps(I: MonomialIdeal, memo: Dict):
+    """vertex_split_tree on an I of two or more generators, not in the memo,
+    as a frame: it yields each part it needs the tree of, is sent it, then
+    stores and yields I's tree."""
+    tree = None
+    for i in sorted(I.support):
+        # dividing by x_i keeps the multiples of x_i minimal and
+        # canonically sorted, so x_i*G(I1) and G(I2) partition G(I)
+        div, rest = I._split(i)
+        I1 = MonomialIdeal._trusted(I.n, div, minimal=True)
+        I2 = MonomialIdeal._trusted(I.n, rest, minimal=True)
+        if (I1.contains_ideal(I2)
+                and (t1 := (yield I1)) is not None
+                and (t2 := (yield I2)) is not None):
+            tree = {"split_variable": i, "divisible_part": t1, "rest": t2}
+            break
     memo[I.gens] = tree
-    return tree
+    yield tree
 
 
 # ---------------------------------------------------------------------------

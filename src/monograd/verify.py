@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb
 from typing import Dict, List, Optional, Tuple
 
@@ -19,7 +19,7 @@ from .gradient import gradient, gradient_chain
 from .graphs import (SimpleGraph, complementary_edge_ideal, edge_ideal,
                      family_overlap_run, family_reg_gap,
                      gradient_power_closed_forms, is_connected,
-                     quadratic_decomposition)
+                     quadratic_decompositions)
 from .ioformats import ideal_to_json
 from .kruskal import (closed_form_count, closed_form_shadow,
                       colex_shadow_oracle, macaulay_rep,
@@ -181,6 +181,13 @@ def connected_graphs(n: int):
 def two_linear_edge_ideals(n_max: int = 5):
     """Distinct compressed edge ideals on <= n_max vertices whose
     regularity is exactly 2, in order of first occurrence."""
+    return (J for J, _ in _two_linear_screen(n_max, by_class=False))
+
+
+def _two_linear_screen(n_max: int, by_class: bool):
+    """(J, count) for the ideals J of two_linear_edge_ideals: each with
+    count 1, or by_class the first of each isomorphism class, counting its
+    labeled members (regularity does not change under relabeling)."""
     seen = set()  # the compressed graphs, as masks over the slots
     slots = list(combinations(range(1, n_max + 1), 2))
     bits = {e: 1 << i for i, e in enumerate(slots)}
@@ -191,13 +198,16 @@ def two_linear_edge_ideals(n_max: int = 5):
         used = sorted({v for e in edges for v in e})
         rank = {v: k for k, v in enumerate(used, 1)}
         edges = [(rank[a], rank[b]) for a, b in edges]
-        key = sum(map(bits.__getitem__, edges))
-        if key in seen:
+        if sum(map(bits.__getitem__, edges)) in seen:
             continue
-        seen.add(key)
+        ids = range(1, len(used) + 1)  # the members relabel a as s[a - 1]
+        orbit = {sum(bits[min(s[a - 1], s[b - 1]), max(s[a - 1], s[b - 1])]
+                     for a, b in edges)
+                 for s in (permutations(ids) if by_class else [ids])}
+        seen |= orbit
         J = edge_ideal(SimpleGraph(len(used), edges))
         if regularity(J) == 2:
-            yield J
+            yield J, len(orbit)
 
 
 # ---------------------------------------------------------------------------
@@ -417,6 +427,7 @@ def _suite_prop33(rep: Report, params: dict, rng: random.Random) -> None:
 
 def _suite_thm43(rep: Report, params: dict, rng: random.Random) -> None:
     n_values = [int(params["n"])] if "n" in params else [4]
+    split_memo: Dict = {}  # splitting trees, shared by every graph and level
     for n in n_values:
         count = 0
         bad = 0
@@ -424,7 +435,7 @@ def _suite_thm43(rep: Report, params: dict, rng: random.Random) -> None:
             count += 1
             J = complementary_edge_ideal(G)
             for ell, H in enumerate(gradient_chain(J, n - 2)):
-                if not (is_vertex_splittable(H)
+                if not (is_vertex_splittable(H, split_memo)
                         and regularity(H) == n - 2 - ell):
                     bad += 1
                     rep.note("replay ideal: " + ideal_to_json(H))
@@ -492,53 +503,47 @@ def _suite_kk_remark(rep: Report, params: dict, rng: random.Random) -> None:
 
 
 def _suite_thm61(rep: Report, params: dict, rng: random.Random) -> None:
+    """Relabeling the variables changes no check below: I^k, its gradients,
+    their linear quotients, m^p and the closed forms from (v, N, P, J) all
+    relabel with the graph.  So the direct side runs once per isomorphism
+    class H of compressed 2-linear graphs, and the closed forms once per
+    valid vertex v of H: a labeled s(H), split at its top valid vertex u,
+    is the pair (H, s^-1(u)), and each valid v is the top one of a labeling
+    giving v the top label.  A class counts (or fails) once per member."""
     n_max = int(params.get("n_max", 5))
     ks = (int(params["k"]),) if "k" in params else (1, 2)
     if ks[0] < 1:
         raise DomainError(f"k must be >= 1, got {ks[0]}")
-    screened = 0
-    bad = 0
+    screened = bad = 0
+    forms_memo: dict = {}  # closed-form parts shared by every (H, v, k)
     tails: Dict[Tuple[int, int], tuple] = {}  # (n, p) -> m^p, its LQ check
-    tail_grads: Dict[tuple, MonomialIdeal] = {}  # G(m^p) -> grad(m^p)
-    forms_memo: dict = {}  # closed-form parts shared by every (graph, k)
-    squares: Dict[tuple, MonomialIdeal] = {}  # G(P) -> P*P
-    for I in two_linear_edge_ideals(n_max):
-        screened += 1
-        dec = quadratic_decomposition(I)
-        if dec is None:
-            bad += 1
+    for I, count in _two_linear_screen(n_max, by_class=True):
+        screened += count
+        decs = list(quadratic_decompositions(I))
+        if not decs:
+            bad += count
             rep.note("no decomposition: " + ideal_to_json(I))
             continue
-        n = I.n
         ok = True
-        for k in ks:
-            direct = I ** k
-            for ell, closed in enumerate(
-                    gradient_power_closed_forms(dec, n, k, _memo=forms_memo)):
-                if ell > k:  # the gradient of a level that should be m^p
-                    if direct.gens not in tail_grads:
-                        tail_grads[direct.gens] = gradient(direct)
-                    direct = tail_grads[direct.gens]
-                elif ell:
-                    direct = gradient(direct)
-                if direct != closed:
-                    ok = False
+        levels = {k: tuple(gradient_chain(I ** k, 2 * k)) for k in ks}
+        for k in ks:  # levels[k][l] is grad^l(I^k) for l = 0..2k
+            for ell, direct in enumerate(levels[k]):
                 if ell >= k:  # should be m^p, and then shares its decision
                     p = 2 * k - ell
-                    if (n, p) not in tails:
-                        mp = MonomialIdeal.maximal(n) ** p
-                        tails[n, p] = mp, mp.is_unit or has_linear_quotients(mp)
-                    if (direct, True) != tails[n, p]:
-                        ok = False
+                    if (I.n, p) not in tails:
+                        mp = MonomialIdeal.maximal(I.n) ** p
+                        tails[I.n, p] = mp, mp.is_unit or has_linear_quotients(mp)
+                    ok &= (direct, True) == tails[I.n, p]
                 elif not direct.is_unit and linear_quotients_order(direct) is None:
                     ok = False
-        gJ = gradient(dec.J)
-        if dec.P.gens not in squares:
-            squares[dec.P.gens] = dec.P * dec.P
-        if squares[dec.P.gens] + dec.J + dec.P * gJ != dec.P * (dec.P + gJ):
-            ok = False
+        for dec in decs:
+            for k in ks:
+                ok &= gradient_power_closed_forms(
+                    dec, I.n, k, _memo=forms_memo) == levels[k]
+            gJ = gradient(dec.J)
+            ok &= dec.P * dec.P + dec.J + dec.P * gJ == dec.P * (dec.P + gJ)
         if not ok:
-            bad += 1
+            bad += count
             rep.note("replay ideal: " + ideal_to_json(I))
     rep.add(f"{screened} screened 2-linear edge ideals (n <= {n_max}): "
             "closed form, linear quotients at every level, pure-power "

@@ -10,7 +10,7 @@ from monograd.graphs import (QuadraticDecomposition, SimpleGraph,
                              gradient_power_closed_form,
                              gradient_power_closed_forms, is_connected,
                              peel_order, quadratic_decomposition,
-                             underlying_graph)
+                             quadratic_decompositions, underlying_graph)
 from monograd.monomials import MonomialIdeal, variable
 from monograd.verify import two_linear_edge_ideals
 
@@ -67,6 +67,41 @@ def test_quadratic_decomposition():
     assert dec.P == I(3, "x2") and dec.J == I(3, "x1*x2")
     assert dec.reconstruct(3) == path
     assert quadratic_decomposition(I(4, "x1*x2", "x3*x4")) is None
+
+
+def test_quadratic_decompositions_are_the_valid_vertices_descending():
+    # on every graph with at most 5 vertices and none isolated: the splits
+    # are those at the v whose J (the edges off v) lies in P (the variables
+    # next to v), in descending v, as the validating constructor builds
+    # them; quadratic_decomposition is the first of them
+    splits = valid = stars = 0
+    for n in range(2, 6):
+        slots = list(combinations(range(1, n + 1), 2))
+        for pick in range(1, 1 << len(slots)):
+            edges = [slots[i] for i in range(len(slots)) if pick >> i & 1]
+            if len({v for e in edges for v in e}) < n:
+                continue
+            E = edge_ideal(SimpleGraph(n, edges))
+            expected = []
+            for v in range(n, 0, -1):
+                P = MonomialIdeal(n, [variable(n, w) for e in edges
+                                      if v in e for w in e if w != v])
+                J = MonomialIdeal(n, [tuple(int(w in e) for w in
+                                            range(1, n + 1))
+                                      for e in edges if v not in e])
+                if P.contains_ideal(J):
+                    expected.append((v, P.gens, J.gens))
+            decs = list(quadratic_decompositions(E))
+            assert [(d.v, d.P.gens, d.J.gens) for d in decs] == expected
+            assert all(_same(d.J, MonomialIdeal(n, d.J.gens)) for d in decs)
+            assert all(d.reconstruct(n) == E for d in decs)
+            assert quadratic_decomposition(E) == (decs[0] if decs else None)
+            splits += len(decs)
+            valid += bool(decs)
+            stars += sum(d.J.is_zero for d in decs)  # J = 0: v meets all
+    assert splits > 2000 and valid > 700 and stars > 10
+    with pytest.raises(DomainError):
+        next(quadratic_decompositions(I(3, "x1*x2")))
 
 
 def test_closed_form_matches_direct_gradient():

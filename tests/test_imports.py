@@ -74,3 +74,65 @@ def test_unreferenced_private_function_detection():
 def test_every_private_function_has_a_caller_in_the_package():
     sources = [f.read_text() for f in sorted(SRC.glob("*.py"))]
     assert _unreferenced_private_functions(sources) == []
+
+
+# The self-recursive functions the package keeps, each with the bound on
+# its depth.  Any other recursion belongs on an explicit stack, as the
+# linear-quotients search and vertex splitting have theirs, because the
+# input can drive the depth past the interpreter's recursion limit.
+RECURSION_ALLOWED = {
+    "kruskal._colex_iter": "k < d levels for the d-subsets, whose colex "
+                           "segment the colex-enum cap bounds",
+    "verify._plain": "the nesting depth of a report value",
+}
+
+
+def _self_recursive_functions(module: str, source: str):
+    """Qualified names (module.function, module.Class.method) of the
+    functions in source that call themselves: a function by its own name,
+    a method through self, cls or its class's name.  Recursion through
+    other functions is not looked for."""
+    found = []
+
+    def visit(node, prefix, owners):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.",
+                      {"self", "cls", child.name})
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for call in ast.walk(child):
+                    f = getattr(call, "func", None)
+                    if (isinstance(f, ast.Name) and not owners
+                            and f.id == child.name
+                            or isinstance(f, ast.Attribute)
+                            and f.attr == child.name
+                            and isinstance(f.value, ast.Name)
+                            and f.value.id in owners):
+                        found.append(prefix + child.name)
+                        break
+                visit(child, f"{prefix}{child.name}.", set())
+            else:
+                visit(child, prefix, owners)
+
+    visit(ast.parse(source), f"{module}.", set())
+    return found
+
+
+def test_self_recursive_function_detection():
+    assert _self_recursive_functions("m", (
+        "def f(n):\n    return f(n - 1) if n else 0\n"
+        "def g():\n    def h(k):\n        return h(k)\n    return h\n"
+        "def plain():\n    return table.plain()\n"
+        "class C:\n"
+        "    def walk(self): return [self.walk()]\n"
+        "    def size(self): return other.size()\n"
+        "    @classmethod\n"
+        "    def make(cls): return cls.make()\n"
+        "    def leaf(self): return leaf()\n")) == [
+            "m.f", "m.g.h", "m.C.walk", "m.C.make"]
+
+
+def test_every_self_recursive_function_is_allowed():
+    found = [name for f in sorted(SRC.glob("*.py"))
+             for name in _self_recursive_functions(f.stem, f.read_text())]
+    assert sorted(found) == sorted(RECURSION_ALLOWED)

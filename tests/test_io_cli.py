@@ -434,6 +434,16 @@ def test_cli_certificate_search_deeper_than_the_recursion_limit(
     assert (doc["regularity"], doc["projective_dimension"]) == (8, 6)
 
 
+def test_cli_vertex_splitting_deeper_than_the_recursion_limit(ideal_file,
+                                                              capsys):
+    # each split of (x1^3000, x1^2999*x2) lowers the x1 exponent by one,
+    # so its witness tree is about 3000 splits deep
+    f = ideal_file({"n": 2, "gens": [[3000, 0], [2999, 1]]})
+    assert run_cli(["check", "vertex-splittable", f]) == 0
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("true\n", "")
+
+
 def test_cli_betti_json_is_invariant_under_relabeling(ideal_file, capsys):
     # the whole document, engine included, must not depend on the names
     # of the variables: the certificate search starts from the stored

@@ -1,4 +1,5 @@
 import random
+import sys
 from itertools import permutations
 from math import comb
 
@@ -113,6 +114,61 @@ def _replay_split_tree(J, tree):
         return f"I1 does not contain I2 at x{i} in {J}"
     return (_replay_split_tree(I1, tree["divisible_part"])
             or _replay_split_tree(I2, tree["rest"]))
+
+
+def _split_tree_reference(J, memo):
+    """vertex_split_tree as a plain recursion, splitting through the
+    validating constructor, over its own memo."""
+    if J.gens in memo:
+        return memo[J.gens]
+    tree = ({"base": "zero"} if J.is_zero else {"base": "unit"} if J.is_unit
+            else {"base": "principal"} if J.mu == 1 else None)
+    for i in sorted(J.support) if tree is None else ():
+        I1 = MonomialIdeal(J.n, [divide_by_variable(u, i)
+                                 for u in J.gens if u[i - 1]])
+        I2 = MonomialIdeal(J.n, [u for u in J.gens if not u[i - 1]])
+        if (I1.contains_ideal(I2)
+                and (t1 := _split_tree_reference(I1, memo)) is not None
+                and (t2 := _split_tree_reference(I2, memo)) is not None):
+            tree = {"split_variable": i, "divisible_part": t1, "rest": t2}
+            break
+    memo[J.gens] = tree
+    return tree
+
+
+def test_vertex_split_stack_matches_the_recursion():
+    # the explicit stack returns the trees the recursion did and fills the
+    # memo with the same entries; each tree's parts are the memo's objects
+    rng = random.Random(11)
+    memo, ref = {}, {}
+    splittable = 0
+    for t in range(1500):
+        n = rng.randint(3, 6)
+        J = random_ideal(n, 1, 3, rng.randint(1, 6), squarefree=t % 3 > 0,
+                         rng=rng)
+        tree = vertex_split_tree(J, memo if t % 2 else None)
+        assert tree == _split_tree_reference(J, {})
+        if t % 2:
+            assert tree == _split_tree_reference(J, ref)
+            assert tree is memo[J.gens]
+        splittable += tree is not None
+    assert memo == ref and len(memo) > 600
+    assert 1000 < splittable < 1400
+    held = {id(tree) for tree in memo.values()}
+    for tree in memo.values():
+        if tree is not None and "rest" in tree:
+            assert {id(tree["divisible_part"]), id(tree["rest"])} <= held
+
+
+def test_vertex_split_tree_deeper_than_the_recursion_limit():
+    # each split of (x1^3000, x1^2999*x2) lowers the x1 exponent by one
+    memo = {}
+    tree = vertex_split_tree(I(2, "x1^3000", "x1^2999*x2"), memo)
+    depth = 0
+    while "rest" in tree:
+        tree, depth = tree["divisible_part"], depth + 1
+    assert depth > sys.getrecursionlimit() and tree == {"base": "unit"}
+    assert len(memo) > depth
 
 
 def test_vertex_split_witnesses_replay():

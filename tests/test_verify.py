@@ -1,8 +1,15 @@
+from itertools import permutations
+
 import pytest
 
 import monograd.verify as verify
 from monograd.errors import DomainError
+from monograd.gradient import gradient, gradient_chain
+from monograd.graphs import (gradient_power_closed_forms,
+                             quadratic_decomposition)
+from monograd.ioformats import ideal_to_json
 from monograd.monomials import MonomialIdeal
+from monograd.structure import has_linear_quotients, linear_quotients_order
 from monograd.verify import (Report, VERIFY_IDS, random_ideal,
                              two_linear_edge_ideals, verify_theorem)
 
@@ -71,9 +78,9 @@ def test_failing_check_reports_replay():
 
 
 def test_thm61_closed_forms_multiply_no_ideals(monkeypatch):
-    # thm6.1 evaluates the closed forms once per (graph, k), from exponent
-    # tuples and one memo for the whole suite: no ideal product is formed
-    # inside the evaluation
+    # thm6.1 evaluates the closed forms once per (class, vertex) pair and k,
+    # from exponent tuples and one memo for the whole suite: no ideal
+    # product is formed inside the evaluation
     inside, products, calls = [], [], []
     mul, forms = MonomialIdeal.__mul__, verify.gradient_power_closed_forms
 
@@ -94,7 +101,153 @@ def test_thm61_closed_forms_multiply_no_ideals(monkeypatch):
     monkeypatch.setattr(verify, "gradient_power_closed_forms", spy_forms)
     rep = verify_theorem("thm6.1", {"n_max": 4}, seed=0)
     assert rep.passed
-    assert len(calls) == 2 * len(list(two_linear_edge_ideals(4))) > 0
+    # one evaluation per k and (isomorphism class, valid vertex) pair:
+    # 29 pairs cover the 43 labeled ideals with n <= 4
+    assert len(calls) == 2 * 29
     assert calls[0][2] is not None
     assert all(memo is calls[0][2] for _, _, memo in calls)
     assert not products
+
+
+def _thm61_labeled(n_max, ks, forms=gradient_power_closed_forms):
+    """thm6.1 on every labeled 2-linear edge ideal, each decomposed at its
+    top valid vertex, as the suite ran before it went to isomorphism
+    classes: (screened, bad), with the closed forms taken from forms."""
+    screened = bad = 0
+    tails, tail_grads, forms_memo, squares = {}, {}, {}, {}
+    for I in two_linear_edge_ideals(n_max):
+        screened += 1
+        dec = quadratic_decomposition(I)
+        if dec is None:
+            bad += 1
+            continue
+        n = I.n
+        ok = True
+        for k in ks:
+            direct = I ** k
+            for ell, closed in enumerate(forms(dec, n, k, _memo=forms_memo)):
+                if ell > k:  # the gradient of a level that should be m^p
+                    if direct.gens not in tail_grads:
+                        tail_grads[direct.gens] = gradient(direct)
+                    direct = tail_grads[direct.gens]
+                elif ell:
+                    direct = gradient(direct)
+                if direct != closed:
+                    ok = False
+                if ell >= k:  # should be m^p, and then shares its decision
+                    p = 2 * k - ell
+                    if (n, p) not in tails:
+                        mp = MonomialIdeal.maximal(n) ** p
+                        tails[n, p] = mp, mp.is_unit or has_linear_quotients(mp)
+                    if (direct, True) != tails[n, p]:
+                        ok = False
+                elif not direct.is_unit and linear_quotients_order(direct) is None:
+                    ok = False
+        gJ = gradient(dec.J)
+        if dec.P.gens not in squares:
+            squares[dec.P.gens] = dec.P * dec.P
+        if squares[dec.P.gens] + dec.J + dec.P * gJ != dec.P * (dec.P + gJ):
+            ok = False
+        if not ok:
+            bad += 1
+    return screened, bad
+
+
+def _relabel(J, s):
+    """J with each variable x_a renamed x_{s[a - 1]}."""
+    inverse = [s.index(b) for b in range(1, J.n + 1)]
+    return MonomialIdeal(J.n, [tuple(u[a] for a in inverse) for u in J.gens])
+
+
+def _class_key(J):
+    """The same key for isomorphic ideals: the least relabeled G(J)."""
+    return J.n, min(_relabel(J, s).gens
+                    for s in permutations(range(1, J.n + 1)))
+
+
+def test_thm61_classes_agree_with_the_labeled_sweep():
+    # the count and the verdict of the class-level suite are those of the
+    # labeled sweep it replaced, on every n_max up to the default 5
+    for n_max, count in ((1, 0), (2, 1), (3, 5), (4, 43), (5, 624)):
+        assert _thm61_labeled(n_max, (1, 2)) == (count, 0)
+        check, = verify_theorem("thm6.1", {"n_max": n_max}, seed=0).checks
+        assert check.description.startswith(f"{count} screened ")
+        assert (check.expected, check.computed, check.passed) == (0, 0, True)
+    check, = verify_theorem("thm6.1", {"n_max": 4, "k": 1}, seed=0).checks
+    assert (check.computed, _thm61_labeled(4, (1,))) == (0, (43, 0))
+
+
+@pytest.mark.parametrize("n_max, classes, pairs", [(4, 9, 29), (5, 26, 94)])
+def test_thm61_checks_each_labeled_pair_through_one_class_pair(
+        monkeypatch, n_max, classes, pairs):
+    # every labeled G with its top valid vertex v_G is a relabeling
+    # (s(H), s(v)) of a pair (H, v) the suite checks, and every checked
+    # pair is one of these: the suite checks what the labeled sweep did
+    checked = set()  # (n, G(H), v)
+    forms = verify.gradient_power_closed_forms
+
+    def spy(dec, n, k, _memo=None):
+        checked.add((n, dec.reconstruct(n).gens, dec.v))
+        return forms(dec, n, k, _memo=_memo)
+
+    monkeypatch.setattr(verify, "gradient_power_closed_forms", spy)
+    assert verify_theorem("thm6.1", {"n_max": n_max}, seed=0).passed
+    assert len({pair[:2] for pair in checked}) == classes
+    assert len(checked) == pairs
+    labeled = {(G.n, G.gens, quadratic_decomposition(G).v)
+               for G in two_linear_edge_ideals(n_max)}
+    assert len(labeled) == {4: 43, 5: 624}[n_max]
+    covered = set()
+    for n, gens, v in checked:
+        images = {(n, _relabel(MonomialIdeal(n, gens), s).gens, s[v - 1])
+                  for s in permutations(range(1, n + 1))}
+        assert images & labeled, (gens, v)  # no pair beyond the sweep's
+        covered |= images
+    assert labeled <= covered
+
+
+def test_thm61_wrong_closed_form_fails_every_labeled_ideal(monkeypatch):
+    # a closed form that misses by one level fails every class, which then
+    # counts all of its labeled members and notes its first one
+    forms = verify.gradient_power_closed_forms
+
+    def wrong(dec, n, k, _memo=None):
+        right = forms(dec, n, k, _memo=_memo)
+        return (right[0],) + right[:-1]
+
+    monkeypatch.setattr(verify, "gradient_power_closed_forms", wrong)
+    rep = verify_theorem("thm6.1", {"n_max": 4}, seed=0)
+    check, = rep.checks
+    assert check.computed == 43 and check.description.startswith("43 ")
+    assert _thm61_labeled(4, (1, 2), forms=wrong) == (43, 43)
+    firsts = {}
+    for J in two_linear_edge_ideals(4):
+        firsts.setdefault(_class_key(J), J)
+    assert len(firsts) == 9
+    assert rep.engine_notes == ["replay ideal: " + ideal_to_json(J)
+                                for J in firsts.values()]
+
+
+def test_thm61_searches_each_class_level_once(monkeypatch):
+    # the direct side runs one linear-quotients search per class, k and
+    # level l < k, in that order, and one per (n, p) for the m^p tails
+    searched, tails = [], []
+    search, decide = verify.linear_quotients_order, verify.has_linear_quotients
+
+    def spy_search(J, *args, **kwargs):
+        searched.append(J)
+        return search(J, *args, **kwargs)
+
+    def spy_decide(J, *args, **kwargs):
+        tails.append(J)
+        return decide(J, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "linear_quotients_order", spy_search)
+    monkeypatch.setattr(verify, "has_linear_quotients", spy_decide)
+    assert verify_theorem("thm6.1", {"n_max": 4}, seed=0).passed
+    classes = [H for H, _ in verify._two_linear_screen(4, by_class=True)]
+    assert len(classes) == 9
+    assert searched == [level for H in classes for k in (1, 2)
+                        for level in list(gradient_chain(H ** k, k))[:k]]
+    assert sorted(tails, key=lambda J: (J.n, J.alpha)) == [
+        MonomialIdeal.maximal(n) ** p for n in (2, 3, 4) for p in (1, 2)]

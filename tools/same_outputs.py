@@ -8,7 +8,10 @@ byte-identical exit codes, stdout and stderr.  The inputs are
   `KOSZUL_MAX_N` = 5 variables also by `betti --engine koszul --json`
   (the queries are built by `perfbench/workloads.py`, which this script
   imports without changing anything under `perfbench/`);
-- `verify <id> --seed 0 --json` for every verify suite.
+- `verify <id> --seed 0 --json` for every verify suite;
+- `verify thm6.1 --seed 0 --json` with `--param n_max=1` to `4`, with
+  `--param k=1` and with `--param k=3` (past the lq-generators cap, exit
+  2), and `verify thm6.1 --seed 0` as text.
 
 Each command enters the hash with a label naming it, its seed and query
 (not the temporary file path), its exit code, stdout and stderr.
@@ -69,6 +72,12 @@ def outputs():
     for vid in VERIFY_IDS:
         yield (f"verify {vid} seed=0",
                *_run(["verify", vid, "--seed", "0", "--json"]))
+    for param in [f"n_max={n}" for n in range(1, 5)] + ["k=1", "k=3"]:
+        yield (f"verify thm6.1 {param} seed=0",
+               *_run(["verify", "thm6.1", "--param", param, "--seed", "0",
+                      "--json"]))
+    yield ("verify thm6.1 seed=0 text",
+           *_run(["verify", "thm6.1", "--seed", "0"]))
 
 
 def main() -> None:
