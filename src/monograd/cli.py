@@ -98,8 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("reg", help="Castelnuovo-Mumford regularity")
     sp.add_argument("file")
-    sp.add_argument("--engine",
-                    choices=("auto", "hochster", "koszul", "linear-quotients"),
+    sp.add_argument("--engine", choices=("auto", "hochster", "koszul"),
                     default="auto")
 
     sp = sub.add_parser("check", help="decide a structural property")

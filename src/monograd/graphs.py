@@ -8,20 +8,19 @@ realizing prescribed regularity gaps.
 Edge ideals, complementary edge ideals and the P and J of a
 decomposition are built from distinct squarefree monomials of one degree,
 which are minimal, so they skip the constructor's checks.  The closed
-forms of grad^l(I^k) are read off one table of exponent-tuple products
-per decomposition, whose J-free part a caller may share across
-decompositions with the same n, k, v and P.
+forms of grad^l(I^k) are unions of products of exponent-tuple sets,
+formed per call from the decomposition alone.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import compress
 from operator import add
 from typing import FrozenSet, List, Optional, Tuple
 
 from .caps import default_caps
+from .complexes import _to_mask
 from .errors import DomainError, ResourceCapError
 from .monomials import MonomialIdeal, supp, variable
 
@@ -66,17 +65,13 @@ def _squarefree(n: int, d: int, masks) -> MonomialIdeal:
                                  for m in masks})
 
 
-def _mask(vertices) -> int:
-    return sum(1 << (v - 1) for v in vertices)
-
-
 def edge_ideal(G: SimpleGraph) -> MonomialIdeal:
     """Quadratic squarefree ideal on the edges of G."""
     if not G.edges:
         warnings.warn("edgeless graph: edge ideal is the zero ideal",
                       stacklevel=2)
         return MonomialIdeal.zero(G.n)
-    return _squarefree(G.n, 2, map(_mask, G.edges))
+    return _squarefree(G.n, 2, map(_to_mask, G.edges))
 
 
 def complementary_edge_ideal(G: SimpleGraph) -> MonomialIdeal:
@@ -88,7 +83,7 @@ def complementary_edge_ideal(G: SimpleGraph) -> MonomialIdeal:
                       stacklevel=2)
         return MonomialIdeal.zero(G.n)
     full = (1 << G.n) - 1
-    return _squarefree(G.n, G.n - 2, [full ^ _mask(e) for e in G.edges])
+    return _squarefree(G.n, G.n - 2, [full ^ _to_mask(e) for e in G.edges])
 
 
 def is_connected(G: SimpleGraph) -> bool:
@@ -180,13 +175,12 @@ def quadratic_decompositions(I: MonomialIdeal):
         # J subseteq P iff every remaining edge touches a neighbor of v
         if all(a in nbrs or b in nbrs for a, b in rest_edges):
             P = _squarefree(I.n, 1, [1 << (w - 1) for w in nbrs])
-            J = _squarefree(I.n, 2, map(_mask, rest_edges))  # 0 if none
+            J = _squarefree(I.n, 2, map(_to_mask, rest_edges))  # 0 if none
             yield QuadraticDecomposition(v, P, J)
 
 
-def gradient_power_closed_forms(dec: QuadraticDecomposition, n: int, k: int,
-                                _memo: Optional[dict] = None
-                                ) -> Tuple[MonomialIdeal, ...]:
+def gradient_power_closed_forms(dec: QuadraticDecomposition, n: int,
+                                k: int) -> Tuple[MonomialIdeal, ...]:
     """The closed forms of grad^l(I^k) for l = 0..2k, with I = x_v*P + J:
 
         l < k:   sum over r = 0..l of x_v^(k-r) N^r P^(k-l)
@@ -194,62 +188,40 @@ def gradient_power_closed_forms(dec: QuadraticDecomposition, n: int, k: int,
         l >= k:  m^(2k-l)
 
     where N is generated by the variables other than x_v, so that m^p is
-    the sum of the x_v^a N^(p-a).  Each power and each product of powers
-    is formed once, as exponent tuples with their support masks; a
-    caller's _memo keeps the J-free products per (n, k, v, P) and each m^p
-    per (n, p) across calls.  Every term of a level is generated in degree
-    2k - l, so the union of its product sets is its minimal generating set.
+    the sum of the x_v^a N^(p-a).  So the first sum is (x_v P)^(k-l) m^l,
+    and the second is N^l J I^(k-l-1), as I^q is the sum over t = 0..q of
+    (x_v P)^(q-t) J^t.  Each call forms its powers and products afresh, as
+    sets of exponent tuples with their support masks.  Every term of a
+    level is generated in degree 2k - l, so the union of its product sets
+    is its minimal generating set, and products distribute over unions.
     """
     if k < 1:
         raise DomainError("k must be >= 1")
-    v, unit = dec.v, (0,) * n
-    memo = {} if _memo is None else _memo
 
-    def powers(masks):  # X^0..X^k as {u: support mask of u}
-        out = [{unit: 0}]
-        for _ in range(k):
-            out.append({tuple(map(add, u, g)): m | gm
-                        for u, m in out[-1].items() for g, gm in masks})
+    def times(A, B):  # the products of two sets, as {u: support mask of u}
+        return {tuple(map(add, u, w)): m | wm
+                for u, m in A.items() for w, wm in B.items()}
+
+    def chain(A, X, top):  # A X^q for q = 0..top
+        out = [A]
+        for _ in range(top):
+            out.append(times(out[-1], X))
         return out
 
-    shared = n, k, v, dec.P.gens
-    j_free, factors = memo.get(shared), [None] * 3
-    if j_free is None:  # else it holds every J-free product the levels use
-        j_free = {(0, 0, 0, 0): {unit: 0}}
-        factors = [powers([(variable(n, v), 1 << (v - 1))]),
-                   powers([(variable(n, i), 1 << (i - 1))
-                           for i in range(1, n + 1) if i != v]),
-                   powers(list(zip(dec.P.gens, dec.P._masks)))]
-    factors.append(powers(list(zip(dec.J.gens, dec.J._masks))))
-    products = {}
-
-    def product(key):  # x_v^a N^b P^c J^e for key = (a, b, c, e)
-        out = j_free[0, 0, 0, 0]
-        for t in compress(range(4), key):  # one more factor per step
-            part = key[:t + 1] + (0,) * (3 - t)
-            table = products if t == 3 else j_free
-            if part not in table:
-                table[part] = {tuple(map(add, u, w)): m | wm
-                               for u, m in out.items()
-                               for w, wm in factors[t][key[t]].items()}
-            out = table[part]
-        return out
-
+    xs = {variable(n, i): 1 << (i - 1) for i in range(1, n + 1)}
+    xv = {variable(n, dec.v): 1 << (dec.v - 1)}
+    M = chain({(0,) * n: 0}, xs, k)
+    N = chain(M[0], {u: b for u, b in xs.items() if u not in xv}, k - 1)
+    xvP = times(xv, dict(zip(dec.P.gens, dec.P._masks)))
+    J = dict(zip(dec.J.gens, dec.J._masks))
+    # (x_v P)^(q+1) and J I^q for q = k-1-l
+    firsts, seconds = chain(xvP, xvP, k - 1), chain(J, {**xvP, **J}, k - 1)
     forms = []
     for ell in range(k):
-        masks = {}
-        for key in ([(k - r, r, k - ell, 0) for r in range(ell + 1)]
-                    + [(k - s, ell, k - s, s - ell)
-                       for s in range(ell + 1, k + 1)]):
-            masks.update(product(key))
+        masks = times(firsts[k - 1 - ell], M[ell])
+        masks.update(times(N[ell], seconds[k - 1 - ell]))
         forms.append(_equigenerated(n, 2 * k - ell, masks))
-    for p in range(k, -1, -1):
-        if (n, p) not in memo:
-            memo[n, p] = _equigenerated(n, p, {
-                u: m for a in range(p + 1)
-                for u, m in product((a, p - a, 0, 0)).items()})
-        forms.append(memo[n, p])
-    memo[shared] = j_free
+    forms += [_equigenerated(n, p, M[p]) for p in range(k, -1, -1)]
     return tuple(forms)
 
 

@@ -375,10 +375,6 @@ def regularity(I: MonomialIdeal, engine: str = "auto",
     if I.is_unit:
         return 0
     caps = caps or default_caps()
-    if engine == "linear-quotients":
-        if linear_quotients_order(I, caps=caps) is None:
-            raise DomainError("no linear-quotients order exists")
-        return I.omega
     if engine == "koszul":
         return koszul_betti_table(I, caps=caps).regularity()
     if engine == "hochster":
@@ -397,13 +393,13 @@ def regularity(I: MonomialIdeal, engine: str = "auto",
 # ---------------------------------------------------------------------------
 # linear resolution predicates
 
-def has_linear_resolution(I: MonomialIdeal, engine: str = "auto",
+def has_linear_resolution(I: MonomialIdeal,
                           caps: Optional[Caps] = None) -> bool:
     if I.is_zero or I.is_unit:
         raise DomainError("linear-resolution test needs a proper nonzero ideal")
     if I.alpha != I.omega:
         return False
-    return regularity(I, engine=engine, caps=caps) == I.alpha
+    return regularity(I, caps=caps) == I.alpha
 
 
 @dataclass(frozen=True)
@@ -417,12 +413,11 @@ class DifferentialLinearReport:
 
 
 def has_differential_linear_resolution(
-        I: MonomialIdeal, engine: str = "auto",
-        caps: Optional[Caps] = None,
+        I: MonomialIdeal, caps: Optional[Caps] = None,
         _memo: Optional[Dict] = None) -> DifferentialLinearReport:
     """True iff every iterated gradient up to alpha has linear resolution.
     The memo, if given, holds the regularity of each level by its
-    generators, for callers that test many ideals with one engine and caps.
+    generators, for callers that test many ideals with one set of caps.
     """
     if I.is_zero or I.is_unit:
         raise DomainError("test needs a proper nonzero ideal")
@@ -434,8 +429,7 @@ def has_differential_linear_resolution(
     levels = []
     for ell, J in enumerate(gradient_chain(I, a)):
         if J.gens not in memo:
-            memo[J.gens] = 0 if J.is_unit else regularity(J, engine=engine,
-                                                          caps=caps)
+            memo[J.gens] = 0 if J.is_unit else regularity(J, caps=caps)
         r = memo[J.gens]
         ok = (r == a - ell) and (J.is_unit or J.omega == a - ell)
         levels.append((ell, r, ok, J))

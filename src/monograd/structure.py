@@ -24,7 +24,6 @@ from .errors import DomainError, ResourceCapError
 from .monomials import (
     MonomialIdeal,
     _exact_masks,
-    deg,
     divide_by_variable,
     mono_mul,
     supp,
@@ -293,17 +292,19 @@ def is_strongly_stable(I: MonomialIdeal) -> bool:
 
 
 def _is_stable(I: MonomialIdeal, strongly: bool) -> bool:
-    """u x_i / x_j lies in I for every u in G(I) and i < j, where j is
-    the largest index in supp u, or any index there if strongly."""
+    """Every shift of every u in G(I) lies in I (see _shifts)."""
     if I.is_zero or I.is_unit:
         raise DomainError("stability test needs a proper nonzero ideal")
-    for u in I.gens:
-        for j in supp(u) if strongly else (max(supp(u)),):
-            shifted = divide_by_variable(u, j)
-            for i in range(1, j):
-                if not I.contains(mono_mul(shifted, variable(I.n, i))):
-                    return False
-    return True
+    return all(I.contains(w) for u in I.gens for w in _shifts(u, strongly))
+
+
+def _shifts(u: tuple, strongly: bool):
+    """The monomials u x_i / x_j for i < j, where j is the largest index in
+    supp u, or any index there if strongly; none for u = 1."""
+    for j in supp(u) if strongly else sorted(supp(u))[-1:]:
+        shifted = divide_by_variable(u, j)
+        for i in range(1, j):
+            yield mono_mul(shifted, variable(len(u), i))
 
 
 # ---------------------------------------------------------------------------
@@ -323,15 +324,8 @@ def _closure(n: int, seeds, strongly: bool) -> MonomialIdeal:
     pool = {tuple(u) for u in seeds}
     frontier = list(pool)
     while frontier:
-        u = frontier.pop()
-        if deg(u) == 0:
-            continue
-        targets = supp(u) if strongly else {max(supp(u))}
-        for j in targets:
-            shifted = divide_by_variable(u, j)
-            for i in range(1, j):
-                w = mono_mul(shifted, variable(n, i))
-                if w not in pool:
-                    pool.add(w)
-                    frontier.append(w)
+        for w in _shifts(frontier.pop(), strongly):
+            if w not in pool:
+                pool.add(w)
+                frontier.append(w)
     return MonomialIdeal(n, pool)

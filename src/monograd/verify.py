@@ -24,9 +24,8 @@ from .ioformats import ideal_to_json
 from .kruskal import (closed_form_count, closed_form_shadow,
                       colex_shadow_oracle, macaulay_rep,
                       many_generators_threshold, shadow_bound)
-from .monomials import (MonomialIdeal, is_complete_intersection,
-                        monomials_of_degree, squarefree_monomials_of_degree,
-                        veronese_type)
+from .monomials import (MonomialIdeal, monomials_of_degree,
+                        squarefree_monomials_of_degree, veronese_type)
 from .complexes import stanley_reisner_complex
 from .resolution import (has_differential_linear_resolution, hochster_betti,
                          regularity)
@@ -122,29 +121,28 @@ def random_ideal(n: int, d_min: int, d_max: int, count: int,
     return MonomialIdeal(n, rng.sample(pool, count))
 
 
-def random_veronese_type(rng: random.Random, n_max: int = 5,
-                         d_max: int = 4) -> MonomialIdeal:
+def random_veronese_type(rng: random.Random) -> MonomialIdeal:
+    """A Veronese-type ideal on 2..5 variables in degree 2..4."""
     while True:
-        n = rng.randint(2, n_max)
-        d = rng.randint(2, d_max)
+        n = rng.randint(2, 5)
+        d = rng.randint(2, 4)
         bounds = tuple(rng.randint(1, d) for _ in range(n))
         if sum(bounds) >= d:
             return veronese_type(n, bounds, d)
 
 
-def random_complete_intersection(rng: random.Random, n: int = 6,
-                                 max_gens: int = 3,
-                                 max_deg: int = 3) -> MonomialIdeal:
-    m = rng.randint(1, max_gens)
+def random_complete_intersection(rng: random.Random) -> MonomialIdeal:
+    """1..3 generators of degree 2..3 on 6 variables, on disjoint supports
+    of 1 or 2 variables each."""
+    n = 6
+    m = rng.randint(1, 3)
     vars_left = list(range(n))
     rng.shuffle(vars_left)
     gens = []
     for _ in range(m):
         size = rng.randint(1, 2)
-        if size > len(vars_left):
-            size = len(vars_left)
         picked = [vars_left.pop() for _ in range(size)]
-        deg = rng.randint(max(2, size), max_deg)
+        deg = rng.randint(2, 3)
         exps = [0] * n
         for i in picked:
             exps[i] = 1
@@ -154,12 +152,13 @@ def random_complete_intersection(rng: random.Random, n: int = 6,
     return MonomialIdeal(n, gens)
 
 
-def random_stable_ideal(rng: random.Random, strongly: bool,
-                        n_max: int = 4, d_max: int = 4) -> MonomialIdeal:
-    n = rng.randint(2, n_max)
+def random_stable_ideal(rng: random.Random, strongly: bool) -> MonomialIdeal:
+    """The (strongly) stable closure of 1..3 monomials of degree 1..4 on
+    2..4 variables."""
+    n = rng.randint(2, 4)
     seeds = []
     for _ in range(rng.randint(1, 3)):
-        d = rng.randint(1, d_max)
+        d = rng.randint(1, 4)
         exps = [0] * n
         for _ in range(d):
             exps[rng.randrange(n)] += 1
@@ -326,7 +325,6 @@ def _suite_prop21(rep: Report, params: dict, rng: random.Random) -> None:
     bad_ci = 0
     for _ in range(samples):
         I = random_complete_intersection(rng)
-        assert is_complete_intersection(I)
         total = sum(sum(u) for u in I.gens)
         expected = total - 2 * I.mu + 1
         if regularity(gradient(I)) != expected:
@@ -383,7 +381,6 @@ def _suite_thm31(rep: Report, params: dict, rng: random.Random) -> None:
     bad = 0
     for _ in range(samples):
         I = random_veronese_type(rng)
-        assert is_polymatroidal(I)
         if not is_polymatroidal(gradient(I)):
             bad += 1
             rep.note("replay ideal: " + ideal_to_json(I))
@@ -414,7 +411,6 @@ def _suite_prop33(rep: Report, params: dict, rng: random.Random) -> None:
         bad = 0
         for _ in range(samples):
             I = random_stable_ideal(rng, strongly)
-            assert check(I)
             gI = gradient(I)
             # a degree-1 generator sends the gradient to the unit ideal,
             # which is vacuously (strongly) stable
@@ -446,7 +442,9 @@ def _suite_thm43(rep: Report, params: dict, rng: random.Random) -> None:
 
 def _suite_thm51(rep: Report, params: dict, rng: random.Random) -> None:
     samples = _samples(params, 50)
-    if "n" in params and "d" in params:
+    if ("n" in params) != ("d" in params):
+        raise DomainError("thm5.1 reads n and d together")
+    if "n" in params:
         pairs = [(int(params["n"]), int(params["d"]))]
     else:
         pairs = [(6, 3), (8, 3), (8, 4)]
@@ -515,7 +513,6 @@ def _suite_thm61(rep: Report, params: dict, rng: random.Random) -> None:
     if ks[0] < 1:
         raise DomainError(f"k must be >= 1, got {ks[0]}")
     screened = bad = 0
-    forms_memo: dict = {}  # closed-form parts shared by every (H, v, k)
     tails: Dict[Tuple[int, int], tuple] = {}  # (n, p) -> m^p, its LQ check
     for I, count in _two_linear_screen(n_max, by_class=True):
         screened += count
@@ -538,8 +535,7 @@ def _suite_thm61(rep: Report, params: dict, rng: random.Random) -> None:
                     ok = False
         for dec in decs:
             for k in ks:
-                ok &= gradient_power_closed_forms(
-                    dec, I.n, k, _memo=forms_memo) == levels[k]
+                ok &= gradient_power_closed_forms(dec, I.n, k) == levels[k]
             gJ = gradient(dec.J)
             ok &= dec.P * dec.P + dec.J + dec.P * gJ == dec.P * (dec.P + gJ)
         if not ok:
@@ -550,18 +546,18 @@ def _suite_thm61(rep: Report, params: dict, rng: random.Random) -> None:
             "tail, and the product identity all hold", 0, bad)
 
 
-_DISPATCH = {
-    "thm2.2": _suite_thm22,
-    "thm2.3": _suite_thm23,
-    "prop2.1": _suite_prop21,
-    "cor2.4": _suite_cor24,
-    "thm3.1": _suite_thm31,
-    "lem3.2": _suite_lem32,
-    "prop3.3": _suite_prop33,
-    "thm4.3": _suite_thm43,
-    "thm5.1": _suite_thm51,
-    "kk-remark": _suite_kk_remark,
-    "thm6.1": _suite_thm61,
+_DISPATCH = {  # each suite with the parameters it reads
+    "thm2.2": (_suite_thm22, {"a"}),
+    "thm2.3": (_suite_thm23, {"d"}),
+    "prop2.1": (_suite_prop21, {"samples"}),
+    "cor2.4": (_suite_cor24, {"samples"}),
+    "thm3.1": (_suite_thm31, {"samples"}),
+    "lem3.2": (_suite_lem32, {"samples"}),
+    "prop3.3": (_suite_prop33, {"samples"}),
+    "thm4.3": (_suite_thm43, {"n"}),
+    "thm5.1": (_suite_thm51, {"samples", "n", "d"}),
+    "kk-remark": (_suite_kk_remark, set()),
+    "thm6.1": (_suite_thm61, {"n_max", "k"}),
 }
 
 VERIFY_IDS = tuple(sorted(_DISPATCH))
@@ -572,8 +568,12 @@ def verify_theorem(theorem_id: str, parameters: Optional[dict] = None,
     if theorem_id not in _DISPATCH:
         raise DomainError(f"unknown verification id: {theorem_id!r}; "
                           f"known ids: {', '.join(VERIFY_IDS)}")
+    suite, known = _DISPATCH[theorem_id]
     parameters = dict(parameters or {})
+    if unknown := sorted(set(parameters) - known):
+        raise DomainError(f"{theorem_id} reads no parameter "
+                          f"{', '.join(unknown)}; it reads: "
+                          f"{', '.join(sorted(known)) or 'none'}")
     rep = Report(theorem_id=theorem_id, parameters=parameters, seed=seed)
-    rng = random.Random(seed)
-    _DISPATCH[theorem_id](rep, parameters, rng)
+    suite(rep, parameters, random.Random(seed))
     return rep

@@ -1,5 +1,7 @@
 """Static checks on the runtime package's source: it imports nothing
-outside the standard library, and every private function has a caller."""
+outside the standard library, every private function has a caller, no
+function recurses outside an allowlist, and no assert statement stands in
+for a check."""
 
 import ast
 import sys
@@ -136,3 +138,28 @@ def test_every_self_recursive_function_is_allowed():
     found = [name for f in sorted(SRC.glob("*.py"))
              for name in _self_recursive_functions(f.stem, f.read_text())]
     assert sorted(found) == sorted(RECURSION_ALLOWED)
+
+
+def _assert_lines(source: str):
+    """Line numbers of the assert statements in source."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Assert)]
+
+
+def test_assert_statement_detection():
+    assert _assert_lines("assert x\n"
+                         "def f(y):\n"
+                         "    assert y, 'message'\n"
+                         "    return 'assert y'  # assert in a string\n"
+                         "class C:\n"
+                         "    def m(self):\n"
+                         "        assert self\n") == [1, 3, 7]
+    assert _assert_lines("if not x:\n    raise DomainError('x')\n") == []
+
+
+def test_package_has_no_assert_statements():
+    # python -O drops asserts, and a failing one would escape the CLI as a
+    # traceback: a premise belongs in a test, a check in a typed error
+    found = {f.name: lines for f in sorted(SRC.glob("*.py"))
+             if (lines := _assert_lines(f.read_text()))}
+    assert found == {}

@@ -222,6 +222,12 @@ def test_cli_verify(capsys):
     ["thm5.1", "--param", "n=2", "--param", "d=2"],
     ["thm6.1", "--param", "k=-1"],
     ["thm6.1", "--param", "k=0"],
+    # a key the suite does not read, or half of thm5.1's (n, d) pair,
+    # would otherwise run and report parameters that were not used
+    ["thm4.3", "--param", "N=5", "--seed", "0", "--json"],
+    ["kk-remark", "--param", "samples=2"],
+    ["thm5.1", "--param", "n=10"],
+    ["thm5.1", "--param", "d=3", "--param", "samples=1"],
 ])
 def test_cli_verify_bad_param(argv, capsys):
     assert run_cli(["verify", *argv]) == 2

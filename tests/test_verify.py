@@ -8,8 +8,10 @@ from monograd.gradient import gradient, gradient_chain
 from monograd.graphs import (gradient_power_closed_forms,
                              quadratic_decomposition)
 from monograd.ioformats import ideal_to_json
-from monograd.monomials import MonomialIdeal
-from monograd.structure import has_linear_quotients, linear_quotients_order
+from monograd.monomials import MonomialIdeal, is_complete_intersection
+from monograd.structure import (has_linear_quotients, is_polymatroidal,
+                                is_stable, is_strongly_stable,
+                                linear_quotients_order)
 from monograd.verify import (Report, VERIFY_IDS, random_ideal,
                              two_linear_edge_ideals, verify_theorem)
 
@@ -55,7 +57,9 @@ def test_all_ids_dispatch():
     small = {"samples": 2}
     for vid in VERIFY_IDS:
         params = dict(small)
-        if vid == "thm2.2":
+        if vid == "kk-remark":  # it reads no parameter
+            params = {}
+        elif vid == "thm2.2":
             params = {"a": 1}
         elif vid == "thm2.3":
             params = {"d": 3}
@@ -79,8 +83,7 @@ def test_failing_check_reports_replay():
 
 def test_thm61_closed_forms_multiply_no_ideals(monkeypatch):
     # thm6.1 evaluates the closed forms once per (class, vertex) pair and k,
-    # from exponent tuples and one memo for the whole suite: no ideal
-    # product is formed inside the evaluation
+    # from exponent tuples: no ideal product is formed inside the evaluation
     inside, products, calls = [], [], []
     mul, forms = MonomialIdeal.__mul__, verify.gradient_power_closed_forms
 
@@ -89,11 +92,11 @@ def test_thm61_closed_forms_multiply_no_ideals(monkeypatch):
             products.append((self, other))
         return mul(self, other)
 
-    def spy_forms(dec, n, k, _memo=None):
+    def spy_forms(dec, n, k):
         inside.append(k)
-        calls.append((dec, k, _memo))
+        calls.append((dec, k))
         try:
-            return forms(dec, n, k, _memo=_memo)
+            return forms(dec, n, k)
         finally:
             inside.pop()
 
@@ -104,8 +107,6 @@ def test_thm61_closed_forms_multiply_no_ideals(monkeypatch):
     # one evaluation per k and (isomorphism class, valid vertex) pair:
     # 29 pairs cover the 43 labeled ideals with n <= 4
     assert len(calls) == 2 * 29
-    assert calls[0][2] is not None
-    assert all(memo is calls[0][2] for _, _, memo in calls)
     assert not products
 
 
@@ -114,7 +115,7 @@ def _thm61_labeled(n_max, ks, forms=gradient_power_closed_forms):
     top valid vertex, as the suite ran before it went to isomorphism
     classes: (screened, bad), with the closed forms taken from forms."""
     screened = bad = 0
-    tails, tail_grads, forms_memo, squares = {}, {}, {}, {}
+    tails, tail_grads, squares = {}, {}, {}
     for I in two_linear_edge_ideals(n_max):
         screened += 1
         dec = quadratic_decomposition(I)
@@ -125,7 +126,7 @@ def _thm61_labeled(n_max, ks, forms=gradient_power_closed_forms):
         ok = True
         for k in ks:
             direct = I ** k
-            for ell, closed in enumerate(forms(dec, n, k, _memo=forms_memo)):
+            for ell, closed in enumerate(forms(dec, n, k)):
                 if ell > k:  # the gradient of a level that should be m^p
                     if direct.gens not in tail_grads:
                         tail_grads[direct.gens] = gradient(direct)
@@ -186,9 +187,9 @@ def test_thm61_checks_each_labeled_pair_through_one_class_pair(
     checked = set()  # (n, G(H), v)
     forms = verify.gradient_power_closed_forms
 
-    def spy(dec, n, k, _memo=None):
+    def spy(dec, n, k):
         checked.add((n, dec.reconstruct(n).gens, dec.v))
-        return forms(dec, n, k, _memo=_memo)
+        return forms(dec, n, k)
 
     monkeypatch.setattr(verify, "gradient_power_closed_forms", spy)
     assert verify_theorem("thm6.1", {"n_max": n_max}, seed=0).passed
@@ -211,8 +212,8 @@ def test_thm61_wrong_closed_form_fails_every_labeled_ideal(monkeypatch):
     # counts all of its labeled members and notes its first one
     forms = verify.gradient_power_closed_forms
 
-    def wrong(dec, n, k, _memo=None):
-        right = forms(dec, n, k, _memo=_memo)
+    def wrong(dec, n, k):
+        right = forms(dec, n, k)
         return (right[0],) + right[:-1]
 
     monkeypatch.setattr(verify, "gradient_power_closed_forms", wrong)
@@ -251,3 +252,32 @@ def test_thm61_searches_each_class_level_once(monkeypatch):
                         for level in list(gradient_chain(H ** k, k))[:k]]
     assert sorted(tails, key=lambda J: (J.n, J.alpha)) == [
         MonomialIdeal.maximal(n) ** p for n in (2, 3, 4) for p in (1, 2)]
+
+
+def test_seeded_generators_draw_what_the_suites_assume(monkeypatch):
+    # the premises prop2.1, thm3.1 and prop3.3 take for granted, on the
+    # draws their default runs at seed 0 make: complete intersections,
+    # polymatroidal ideals, and strongly stable then stable ideals
+    drawn = {"ci": [], "vt": [], "stable": []}
+
+    def spy(key, fn):
+        def draw(*args):
+            I = fn(*args)
+            drawn[key].append((args[1:], I))
+            return I
+        return draw
+
+    for key, name in (("ci", "random_complete_intersection"),
+                      ("vt", "random_veronese_type"),
+                      ("stable", "random_stable_ideal")):
+        monkeypatch.setattr(verify, name, spy(key, getattr(verify, name)))
+    for vid in ("prop2.1", "thm3.1", "prop3.3"):
+        assert verify_theorem(vid, seed=0).passed
+    assert len(drawn["ci"]) == 50
+    assert all(is_complete_intersection(I) for _, I in drawn["ci"])
+    assert len(drawn["vt"]) == 200
+    assert all(is_polymatroidal(I) for _, I in drawn["vt"])
+    assert [strongly for (strongly,), _ in drawn["stable"]] == \
+        [True] * 200 + [False] * 200
+    for (strongly,), I in drawn["stable"]:
+        assert (is_strongly_stable if strongly else is_stable)(I), I
