@@ -370,6 +370,8 @@ def regularity(I: MonomialIdeal, engine: str = "auto",
     within about mu nodes, and when the budget runs out the exact engines
     answer instead.
     """
+    if engine not in ("auto", "hochster", "koszul"):
+        raise DomainError(f"unknown regularity engine: {engine}")
     if I.is_zero:
         raise DomainError("regularity undefined for the zero ideal")
     if I.is_unit:
@@ -379,9 +381,6 @@ def regularity(I: MonomialIdeal, engine: str = "auto",
         return koszul_betti_table(I, caps=caps).regularity()
     if engine == "hochster":
         return _hochster_regularity(I, caps)
-    if engine != "auto":
-        raise DomainError(f"unknown regularity engine: {engine}")
-
     if _certificate(I, caps) is not None:
         return I.omega
     try:

@@ -494,6 +494,9 @@ def test_regularity_conventions():
     assert regularity(MonomialIdeal.unit(3)) == 0
     with pytest.raises(DomainError):
         regularity(MonomialIdeal.zero(3))
+    for J in (MonomialIdeal.unit(3), MonomialIdeal.maximal(3)):
+        with pytest.raises(DomainError):  # an unknown engine, even at 1
+            regularity(J, engine="linear-quotients")
     m = MonomialIdeal.maximal(3)
     for k in range(1, 4):
         assert regularity(m ** k) == k
