@@ -57,6 +57,9 @@ def _from_env(base: Caps) -> Caps:
     return replace(base, **overrides)
 
 
+_DEFAULTS = Caps()
+
+
 def default_caps() -> Caps:
     """Caps from defaults plus any MONOGRAD_CAPS overrides (read per call)."""
-    return _from_env(Caps())
+    return _from_env(_DEFAULTS)

@@ -22,16 +22,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .errors import DomainError
 from .exact_rank import sparse_rank
-from .monomials import MonomialIdeal, supp
-
-
-def _to_mask(vertices: Iterable[int]) -> int:
-    m = 0
-    for v in vertices:
-        if v < 1:
-            raise DomainError(f"vertex {v} out of range, vertices start at 1")
-        m |= 1 << (v - 1)
-    return m
+from .monomials import MonomialIdeal, _to_mask, supp
 
 
 def _from_mask(mask: int) -> FrozenSet[int]:

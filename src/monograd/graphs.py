@@ -20,9 +20,8 @@ from operator import add
 from typing import FrozenSet, List, Optional, Tuple
 
 from .caps import default_caps
-from .complexes import _to_mask
 from .errors import DomainError, ResourceCapError
-from .monomials import MonomialIdeal, supp, variable
+from .monomials import MonomialIdeal, _to_mask, supp, variable
 
 
 @dataclass(frozen=True)

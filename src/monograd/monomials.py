@@ -164,6 +164,16 @@ def _check_ambient(n: int) -> int:
     return n
 
 
+def _to_mask(vertices: Iterable[int]) -> int:
+    """Bit v - 1 set for each vertex v (vertices start at 1)."""
+    m = 0
+    for v in vertices:
+        if v < 1:
+            raise DomainError(f"vertex {v} out of range, vertices start at 1")
+        m |= 1 << (v - 1)
+    return m
+
+
 def _support_mask(u: Monomial) -> int:
     """Bit k set iff x_{k+1} divides u."""
     m = 0

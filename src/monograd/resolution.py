@@ -52,7 +52,7 @@ from .caps import Caps, default_caps
 from .complexes import SimplicialComplex, _antichain
 from .errors import DomainError, ResourceCapError
 from .exact_rank import sparse_rank
-from .gradient import gradient_chain
+from .gradient import gradient
 from .monomials import MonomialIdeal, monomials_of_degree
 from .structure import UNDECIDED, QuotientOrder, linear_quotients_order
 
@@ -415,8 +415,10 @@ def has_differential_linear_resolution(
         I: MonomialIdeal, caps: Optional[Caps] = None,
         _memo: Optional[Dict] = None) -> DifferentialLinearReport:
     """True iff every iterated gradient up to alpha has linear resolution.
-    The memo, if given, holds the regularity of each level by its
-    generators, for callers that test many ideals with one set of caps.
+    The memo, if given, holds [regularity, gradient or None] of each level
+    by its generators, for callers that test many ideals with one set of
+    caps.  A level keeps its gradient from its second visit on, so that
+    the memo pins no gradient of a level that is seen once.
     """
     if I.is_zero or I.is_unit:
         raise DomainError("test needs a proper nonzero ideal")
@@ -425,12 +427,19 @@ def has_differential_linear_resolution(
                           "equigenerated ideal")
     memo = _memo if _memo is not None else {}
     a = I.alpha
-    levels = []
-    for ell, J in enumerate(gradient_chain(I, a)):
-        if J.gens not in memo:
-            memo[J.gens] = 0 if J.is_unit else regularity(J, caps=caps)
-        r = memo[J.gens]
+    levels, J = [], I
+    for ell in range(a + 1):
+        entry = memo.get(J.gens)
+        hit = entry is not None
+        if not hit:
+            entry = memo[J.gens] = [
+                0 if J.is_unit else regularity(J, caps=caps), None]
+        r = entry[0]
         ok = (r == a - ell) and (J.is_unit or J.omega == a - ell)
         levels.append((ell, r, ok, J))
+        if ell < a:
+            J = entry[1] if entry[1] is not None else gradient(J)
+            if hit:
+                entry[1] = J
     return DifferentialLinearReport(all(ok for _, _, ok, _ in levels),
                                     tuple(levels))

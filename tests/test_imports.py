@@ -1,9 +1,11 @@
 """Static checks on the runtime package's source: it imports nothing
 outside the standard library, every private function has a caller, no
-function recurses outside an allowlist, and no assert statement stands in
-for a check."""
+function recurses outside an allowlist, no assert statement stands in
+for a check, and importing the package loads only the monomial core."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -163,3 +165,143 @@ def test_package_has_no_assert_statements():
     found = {f.name: lines for f in sorted(SRC.glob("*.py"))
              if (lines := _assert_lines(f.read_text()))}
     assert found == {}
+
+
+# the submodules `import monograd` loads; every other one loads on first
+# access through the package's lazy table
+EAGER = {"caps", "errors", "gradient", "monomials"}
+
+
+def _eager_imports(source: str):
+    """The monograd submodules a package source imports outside function
+    and class bodies: relative imports, and absolute monograd.x ones."""
+    found = set()
+
+    def visit(node):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found.update([node.module.split(".")[0]] if node.module
+                         else [alias.name for alias in node.names])
+        elif isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[1] for alias in node.names
+                         if alias.name.startswith("monograd."))
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                   ast.ClassDef, ast.Lambda)):
+            for child in ast.iter_child_nodes(node):
+                visit(child)
+
+    visit(ast.parse(source))
+    return sorted(found)
+
+
+def _top_level_names(source: str):
+    """The names a module source binds at its top level: functions,
+    classes, assignment targets and imports."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = getattr(node, "targets", [getattr(node, "target", None)])
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((a.asname or a.name).split(".")[0]
+                         for a in node.names)
+    return names
+
+
+def _lazy_table(source: str):
+    """The literal {submodule: public names} that a package source assigns
+    to _ENGINES."""
+    for node in ast.parse(source).body:
+        if (isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets]
+                == ["_ENGINES"]):
+            return ast.literal_eval(node.value)
+    return {}
+
+
+def test_package_import_detection():
+    assert _eager_imports("from .caps import Caps\n"
+                          "from . import errors, graphs\n"
+                          "from .resolution.x import y\n"
+                          "import monograd.verify, os\n"
+                          "from importlib import import_module\n"
+                          "if True:\n    from .kruskal import z\n"
+                          "def f():\n    from .structure import w\n"
+                          "class C:\n    from .cli import main\n") == [
+        "caps", "errors", "graphs", "kruskal", "resolution", "verify"]
+    assert _top_level_names("X = 1\nY: int = 2\na, b = 3, 4\n"
+                            "def f():\n    Z = 5\n"
+                            "class C:\n    W = 6\n"
+                            "from .m import p as q, r\nimport os.path\n"
+                            ) == {"X", "Y", "f", "C", "q", "r", "os"}
+    assert _lazy_table("_ENGINES = {'graphs': ('edge_ideal',)}\n"
+                       "_LAZY = {}\n") == {"graphs": ("edge_ideal",)}
+
+
+def test_package_imports_only_the_core_eagerly():
+    source = (SRC / "__init__.py").read_text()
+    assert _eager_imports(source) == sorted(EAGER)
+    table = _lazy_table(source)
+    assert table and not EAGER & set(table)
+    for module, names in table.items():
+        defined = _top_level_names((SRC / f"{module}.py").read_text())
+        assert set(names) <= defined, (module, set(names) - defined)
+
+
+def _python(code: str) -> str:
+    src = str(SRC.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_import_footprint_in_a_fresh_interpreter():
+    loaded = ("sorted(k for k in sys.modules "
+              "if k == 'monograd' or k.startswith('monograd.'))")
+    out = _python(f"import sys, monograd\nprint({loaded})\n"
+                  f"monograd.edge_ideal\nprint({loaded})\n").splitlines()
+    core = ["monograd"] + [f"monograd.{m}" for m in sorted(EAGER)]
+    assert out == [repr(core), repr(sorted(core + ["monograd.graphs"]))]
+    # loading the gradient submodule's neighbours leaves the package's
+    # gradient bound to the function
+    assert _python("import monograd.resolution\n"
+                   "from monograd import gradient\n"
+                   "print(gradient.__module__, gradient.__name__)\n"
+                   ) == "monograd.gradient gradient\n"
+    # a star import binds what it bound when every engine loaded eagerly:
+    # the public names and the submodules other than the CLI
+    out = _python("ns = {}\nexec('from monograd import *', ns)\n"
+                  "print(' '.join(sorted(set(ns) - {'__builtins__'})))\n")
+    assert out.split() == sorted(STAR_NAMES.split())
+
+
+STAR_NAMES = """
+BettiTable Caps CapsFormatError CycleCertificate
+DifferentialLinearReport DimensionMismatchError DomainError
+ExponentOverflowError GeneratorStats MacaulayRep MonogradError
+MonomialIdeal Polarization QuadraticDecomposition QuotientOrder
+RegGapFamily Report ResourceCapError SimpleGraph SimplicialComplex
+UNDECIDED VERIFY_IDS betti_table caps closed_form_count
+closed_form_shadow colex_shadow_oracle complementary_edge_ideal
+complexes cycle_certificate default_caps deg edge_ideal errors
+exact_rank family_overlap_run family_reg_gap gradient gradient_chain
+gradient_power_closed_form gradient_power_closed_forms
+gradient_via_colon graphs has_differential_linear_resolution
+has_linear_quotients has_linear_resolution hochster_betti ideal_to_json
+ioformats is_complete_intersection is_componentwise_polymatroidal
+is_connected is_polymatroidal is_stable is_strongly_stable
+is_vertex_splittable iterated_gradient koszul_betti koszul_betti_table
+kruskal linear_quotients_order macaulay_rep many_generators_threshold
+minimalize monomial_str monomials parse_generators parse_graph
+parse_ideal parse_monomial_string peel_order polarize
+quadratic_decomposition random_ideal regularity resolution
+serialize_graph serialize_ideal shadow_bound stable_closure
+stanley_reisner_complex stanley_reisner_ideal strongly_stable_closure
+structure supp underlying_graph verify verify_theorem veronese_type
+vertex_split_tree
+"""

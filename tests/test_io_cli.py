@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from monograd import cli
+from monograd.caps import Caps, default_caps
 from monograd.cli import run_cli
 from monograd.errors import DomainError, ExponentOverflowError
 from monograd.gradient import gradient
@@ -282,6 +283,16 @@ def test_cli_malformed_caps_setting(ideal_file, monkeypatch, capsys, setting):
     assert len(err) == 1 and err[0].startswith("error: ")
     if "=-" in setting:
         assert "nonnegative" in err[0]
+
+
+def test_default_caps_share_one_instance_and_read_the_variable(monkeypatch):
+    monkeypatch.delenv("MONOGRAD_CAPS", raising=False)
+    assert default_caps() is default_caps()
+    assert default_caps() == Caps()
+    monkeypatch.setenv("MONOGRAD_CAPS", "lq-generators=7")
+    assert default_caps() == Caps(lq_generators=7)
+    monkeypatch.delenv("MONOGRAD_CAPS")
+    assert default_caps() == Caps()
 
 
 def test_cli_zero_caps_are_valid(ideal_file, monkeypatch, capsys):

@@ -545,15 +545,18 @@ def test_differential_linear_resolution_report():
 
 def test_differential_linear_resolution_memo_shares_levels(monkeypatch):
     # with one memo over many samples, each distinct level's regularity is
-    # computed once, and every report is the one computed without it
+    # computed once, a level that repeats is differentiated at most twice,
+    # and every report is the one computed without the memo
     rng = random.Random(51)
     ideals = [random_ideal(6, 3, 3, rng.choice((4, 16)), squarefree=True,
                            rng=rng) for _ in range(30)]
     plain = [has_differential_linear_resolution(J) for J in ideals]
-    seen = []
-    reg = resolution.regularity
+    seen, differentiated = [], Counter()
+    reg, grad = resolution.regularity, resolution.gradient
     monkeypatch.setattr(resolution, "regularity",
                         lambda J, **kw: seen.append(J.gens) or reg(J, **kw))
+    monkeypatch.setattr(resolution, "gradient",
+                        lambda J: differentiated.update([J.gens]) or grad(J))
     memo = {}
     shared = [has_differential_linear_resolution(J, _memo=memo)
               for J in ideals]
@@ -563,6 +566,12 @@ def test_differential_linear_resolution_memo_shares_levels(monkeypatch):
     assert sorted(seen) == sorted(levels)
     assert len(levels) < sum(len(rep.levels) for rep in plain) - 30
     assert any(plain) and not all(plain)
+    # every level but the last is differentiated, at most twice however
+    # often it recurs
+    visits = Counter(lvl[3].gens for rep in plain for lvl in rep.levels[:-1])
+    assert set(differentiated) == set(visits)
+    assert all(differentiated[g] <= min(visits[g], 2) for g in visits)
+    assert max(visits.values()) > 2
 
 
 def test_cycle_certificate():

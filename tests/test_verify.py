@@ -1,3 +1,4 @@
+import random
 from itertools import permutations
 
 import pytest
@@ -8,7 +9,9 @@ from monograd.gradient import gradient, gradient_chain
 from monograd.graphs import (gradient_power_closed_forms,
                              quadratic_decomposition)
 from monograd.ioformats import ideal_to_json
-from monograd.monomials import MonomialIdeal, is_complete_intersection
+from monograd.monomials import (MonomialIdeal, is_complete_intersection,
+                                monomials_of_degree,
+                                squarefree_monomials_of_degree)
 from monograd.structure import (has_linear_quotients, is_polymatroidal,
                                 is_stable, is_strongly_stable,
                                 linear_quotients_order)
@@ -23,6 +26,22 @@ def test_random_ideal_determinism():
     assert a == b
     assert a != c
     assert a.is_squarefree and a.is_equigenerated
+
+
+def test_random_ideal_builds_what_the_checked_constructor_builds():
+    # the draw goes through the trusted constructor; its generators,
+    # degrees and support masks are the checked constructor's on the same
+    # draw from the same pool
+    for n, d_min, d_max, count, squarefree in ((8, 4, 4, 63, True),
+                                               (4, 1, 4, 4, False),
+                                               (3, 0, 2, 5, False)):
+        for seed in range(5):
+            I = random_ideal(n, d_min, d_max, count, squarefree, seed=seed)
+            pool = [u for d in range(d_min, d_max + 1) for u in (
+                squarefree_monomials_of_degree(n, d) if squarefree
+                else monomials_of_degree(n, d))]
+            J = MonomialIdeal(n, random.Random(seed).sample(pool, count))
+            assert (I.gens, I._degs, I._masks) == (J.gens, J._degs, J._masks)
 
 
 def test_random_ideal_infeasible():
@@ -281,3 +300,26 @@ def test_seeded_generators_draw_what_the_suites_assume(monkeypatch):
         [True] * 200 + [False] * 200
     for (strongly,), I in drawn["stable"]:
         assert (is_strongly_stable if strongly else is_stable)(I), I
+
+
+@pytest.mark.parametrize("vid, name, fake, calls_per_decision", [
+    ("thm3.1", "is_polymatroidal", lambda J: False, 1),
+    # gradient(I), gradient(I_<1>), gradient(I_<2>): the unit ideal's
+    # degree-1 component, the maximal ideal, differs from the unit ideal
+    ("lem3.2", "gradient", lambda J: MonomialIdeal.unit(J.n), 3),
+    # reg(grad I) > reg(I) for every draw: grad lowers alpha by one
+    ("prop3.3", "regularity", lambda J: -J.alpha, 2)])
+def test_suites_decide_each_distinct_draw_once(monkeypatch, vid, name, fake,
+                                               calls_per_decision):
+    # with a forced failure every draw is counted and noted, and each
+    # distinct draw of a check is decided once
+    calls = []
+    monkeypatch.setattr(verify, name, lambda J: calls.append(J) or fake(J))
+    rep = verify_theorem(vid, seed=0)
+    assert [c.computed for c in rep.checks] == [200] * len(rep.checks)
+    replays = rep.engine_notes[:200 * len(rep.checks)]
+    assert all(note.startswith("replay ideal: ") for note in replays)
+    distinct = sum(len(set(replays[k:k + 200]))
+                   for k in range(0, len(replays), 200))
+    assert distinct < len(replays)
+    assert len(calls) == calls_per_decision * distinct
