@@ -151,7 +151,7 @@ class SimplicialComplex:
         faces = self.faces_by_cardinality(within)
         out = {}
         rank_above = 0
-        for c, rank in _boundary_ranks(faces, -1):
+        for c, rank in _boundary_ranks(faces):
             h = len(faces[c]) - rank - rank_above
             if h:
                 out[c - 1] = h
@@ -160,17 +160,12 @@ class SimplicialComplex:
 
     def top_nonzero_homology(self, within: Optional[int] = None,
                              stop_below: int = -1) -> Optional[int]:
-        """Largest s with nonzero reduced homology, scanning top-down.
+        """Largest s with nonzero reduced homology, read off the profile.
 
-        Dimensions <= stop_below are not examined (returns None if nothing
-        above them is nonzero); any stop_below under -1 examines them all."""
-        faces = self.faces_by_cardinality(within)
-        rank_above = 0
-        for c, rank in _boundary_ranks(faces, max(stop_below, -2) + 1):
-            if len(faces[c]) - rank - rank_above:
-                return c - 1
-            rank_above = rank
-        return None
+        Dimensions <= stop_below do not count (returns None if nothing
+        above them is nonzero); any stop_below under -1 counts them all."""
+        above = [s for s in self.homology_profile(within) if s > stop_below]
+        return max(above, default=None)
 
 
 def _boundary_columns(faces: Dict[int, List[int]], card: int,
@@ -195,11 +190,11 @@ def _boundary_columns(faces: Dict[int, List[int]], card: int,
     return cols
 
 
-def _boundary_ranks(faces: Dict[int, List[int]], stop: int):
-    """(c, rank of d_c) for c from the top cardinality down to stop + 1,
-    each d_c built without the columns of the pivot rows of d_{c+1}."""
+def _boundary_ranks(faces: Dict[int, List[int]]):
+    """(c, rank of d_c) for c from the top cardinality down to 0, each d_c
+    built without the columns of the pivot rows of d_{c+1}."""
     cleared = set()
-    for c in range(len(faces) - 1, stop, -1):
+    for c in range(len(faces) - 1, -1, -1):
         pivots = set()
         yield c, sparse_rank(_boundary_columns(faces, c, cleared),
                              pivot_rows=pivots)

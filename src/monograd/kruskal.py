@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import count
 from typing import List, Optional, Tuple
 
 from .caps import Caps, default_caps
@@ -63,33 +64,23 @@ def shadow_bound(a: int, d: int) -> int:
     return sum(math.comb(top, low - 1) for top, low in rep.terms)
 
 
-def _colex_d_subsets(a: int, d: int, cap: int):
-    """First a d-subsets of the positive integers in colex order."""
-    out = []
-    m = d
-    while len(out) < a:
-        if math.comb(m, d) > cap:
-            raise ResourceCapError("colex-enum", cap, math.comb(m, d))
-        # subsets with maximum exactly m, in colex order of the rest
-        if m == d:
-            out.append(tuple(range(1, d + 1)))
-        else:
-            for rest in _colex_iter(m - 1, d - 1):
-                out.append(rest + (m,))
-                if len(out) == a:
-                    break
-        m += 1
-    return out[:a]
-
-
-def _colex_iter(n: int, k: int):
-    """All k-subsets of [n] in colexicographic order."""
-    if k == 0:
-        yield ()
-        return
-    for m in range(k, n + 1):
-        for rest in _colex_iter(m - 1, k - 1):
-            yield rest + (m,)
+def _colex_masks(a: int, d: int, cap: int):
+    """The first a d-subsets of the positive integers in colex order, as
+    masks (bit k-1 for k).  Colex order is the numeric order of the masks,
+    so these are the a smallest integers with d bits set; Gosper's rule
+    steps from one to the next.  The segment fills the d-subsets of [m]
+    for m = d, d + 1, ... until C(m, d) >= a, each within the cap."""
+    for m in count(d):
+        if (size := math.comb(m, d)) > cap:
+            raise ResourceCapError("colex-enum", cap, size)
+        if size >= a:
+            break
+    v = (1 << d) - 1
+    for _ in range(a):
+        yield v
+        low = v & -v
+        top = v + low
+        v = top | ((top ^ v) >> 2) // low
 
 
 def colex_shadow_oracle(a: int, d: int, caps: Optional[Caps] = None) -> int:
@@ -99,12 +90,9 @@ def colex_shadow_oracle(a: int, d: int, caps: Optional[Caps] = None) -> int:
     if a == 0:
         return 0
     caps = caps or default_caps()
-    family = _colex_d_subsets(a, d, caps.colex_enum)
-    shadow = set()  # (d-1)-subsets as bitmasks over the positive integers
-    for S in family:
-        mask = sum(1 << x for x in S)
-        shadow.update(mask ^ 1 << x for x in S)
-    return len(shadow)
+    # the (d-1)-subsets, as masks: each member less one of its elements
+    return len({S ^ 1 << k for S in _colex_masks(a, d, caps.colex_enum)
+                for k in range(S.bit_length()) if S >> k & 1})
 
 
 def many_generators_threshold(n: int, d: int) -> int:

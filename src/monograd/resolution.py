@@ -127,26 +127,25 @@ def _tight_sets(columns) -> dict:
     return tight
 
 
-def _element_betti(I: MonomialIdeal, b, most: Optional[int] = None):
-    """The Betti numbers beta_{i,b}(S/I) of a lattice element b.
+def _element_betti(I: MonomialIdeal, b) -> Dict[int, int]:
+    """The Betti numbers beta_{i,b}(S/I) of a lattice element b, as
+    {i: beta_{i,b}} over the nonzero ones.
 
-    Without `most`, returns {i: beta_{i,b}} over the nonzero ones; with
-    it, the least i <= most with beta_{i,b} != 0, or None.  The rules of
-    the module docstring run on the columns A_k of the tight sets: a
-    member is a generator bit, and a vertex k is private to a member when
-    A_k is that one bit.  What is left after s peels is read off the
-    dual D on w, with i shifted by s.
+    The rules of the module docstring run on the columns A_k of the tight
+    sets: a member is a generator bit, and a vertex k is private to a
+    member when A_k is that one bit.  What is left after s peels is read
+    off the dual D on w, with i shifted by s.
     """
     if not any(b):  # the bottom: beta_{0,0} = 1, the free part of S/I
-        return {0: 1} if most is None else (0 if most >= 0 else None)
+        return {0: 1}
     members, columns = _tight_columns(I, b)
     s = 0
-    while most is None or s < most:  # every i here is at least s + 1
+    while True:
         masks = columns.values()
         if 0 in masks or reduce(or_, masks, 0) != members:
-            break  # a vertex in no member or a member tight nowhere: a cone
+            return {}  # a member tight nowhere or a vertex in none: a cone
         if not members & (members - 1):  # one member, equal to w
-            return {s + 1: 1} if most is None else s + 1
+            return {s + 1: 1}
         for g in masks:
             if not g & (g - 1):
                 # g holds the lowest private vertex: C is the suspension
@@ -162,17 +161,12 @@ def _element_betti(I: MonomialIdeal, b, most: Optional[int] = None):
                 # i = k - t - 1 + s for H~_t(D)
                 w, k = sum(columns), len(columns)
                 dual = SimplicialComplex._from_masks(I.n, minimal)
-                if most is None:
-                    return {k - t - 1 + s: h for t, h in
-                            dual.homology_profile(within=w).items()}
-                t = dual.top_nonzero_homology(within=w,
-                                              stop_below=k - most + s - 2)
-                return None if t is None else k - t - 1 + s
+                return {k - t - 1 + s: h for t, h in
+                        dual.homology_profile(within=w).items()}
             # keep one member per minimal tight set and peel again
             keep = {N: g for g, N in tight.items()}
             members = sum(keep[N] for N in minimal)
             columns = {v: a & members for v, a in columns.items()}
-    return {} if most is None else None
 
 
 def _lattice_betti(I: MonomialIdeal, caps: Caps,
@@ -201,17 +195,15 @@ def hochster_betti(I: MonomialIdeal, i: int, j: int) -> int:
 def _hochster_regularity(I: MonomialIdeal, caps: Caps) -> int:
     """reg(I) = max over the lattice of j - i + 1 for nonzero
     beta_{i,j}(S/I), i >= 1."""
-    best = 0  # skips the bottom, whose beta_{0,0} is the free part of S/I
-    # larger degrees first: i >= 1 away from the bottom, so once j <= best
-    # no element can raise best
+    # a generator of degree omega carries beta_1, so reg >= omega; every
+    # other element has i >= 2, so once j <= best + 1 none can raise best
+    best = I.omega
     for j, b in sorted(((sum(b), b) for b in _lcm_lattice(I, caps)),
                        reverse=True):
-        if j <= best:
+        if j <= best + 1:
             break
-        # only i <= j - best raises best
-        i = _element_betti(I, b, most=j - best)
-        if i is not None:
-            best = j - i + 1
+        if profile := _element_betti(I, b):
+            best = max(best, j - min(profile) + 1)
     return best
 
 

@@ -222,6 +222,20 @@ def _samples(params: dict, default: int) -> int:
     return samples
 
 
+def _failures(rep: Report, draws, holds) -> int:
+    """The number of draws for which holds fails, each noted for replay in
+    order; the draws repeat, so each distinct one is decided once."""
+    decided: Dict[MonomialIdeal, bool] = {}
+    bad = 0
+    for I in draws:
+        if I not in decided:
+            decided[I] = holds(I)
+        if not decided[I]:
+            bad += 1
+            rep.note("replay ideal: " + ideal_to_json(I))
+    return bad
+
+
 def _suite_thm22(rep: Report, params: dict, rng: random.Random) -> None:
     a_values = [int(params["a"])] if "a" in params else list(range(-4, 5))
     for a in a_values:
@@ -325,26 +339,18 @@ def _suite_thm23(rep: Report, params: dict, rng: random.Random) -> None:
 
 def _suite_prop21(rep: Report, params: dict, rng: random.Random) -> None:
     samples = _samples(params, 50)
-    bad_ci = 0
-    for _ in range(samples):
-        I = random_complete_intersection(rng)
-        total = sum(sum(u) for u in I.gens)
-        expected = total - 2 * I.mu + 1
-        if regularity(gradient(I)) != expected:
-            bad_ci += 1
-            rep.note("replay ideal: " + ideal_to_json(I))
+
+    def bound(I):  # sum(deg) - 2*mu + 1
+        return sum(sum(u) for u in I.gens) - 2 * I.mu + 1
+
+    draws = (random_complete_intersection(rng) for _ in range(samples))
+    bad = _failures(rep, draws, lambda I: regularity(gradient(I)) == bound(I))
     rep.add(f"{samples} complete intersections: reg(grad(I)) == "
-            "sum(deg) - 2*mu + 1", 0, bad_ci)
-    bad = 0
-    for _ in range(samples):
-        n = rng.randint(3, 5)
-        count = rng.randint(2, 4)
-        I = random_ideal(n, 2, 3, count, rng=rng)
-        r = regularity(gradient(I))
-        total = sum(sum(u) for u in I.gens)
-        if not (I.alpha - 1 <= r <= total - 2 * I.mu + 1):
-            bad += 1
-            rep.note("replay ideal: " + ideal_to_json(I))
+            "sum(deg) - 2*mu + 1", 0, bad)
+    draws = (random_ideal(rng.randint(3, 5), 2, 3, rng.randint(2, 4), rng=rng)
+             for _ in range(samples))
+    bad = _failures(rep, draws, lambda I:
+                    I.alpha - 1 <= regularity(gradient(I)) <= bound(I))
     rep.add(f"{samples} random ideals: alpha - 1 <= reg(grad(I)) <= "
             "sum(deg) - 2*mu + 1", 0, bad)
 
@@ -381,57 +387,42 @@ def _suite_cor24(rep: Report, params: dict, rng: random.Random) -> None:
 
 def _suite_thm31(rep: Report, params: dict, rng: random.Random) -> None:
     samples = _samples(params, DEFAULT_SAMPLES)
-    bad = 0
-    decided: Dict[MonomialIdeal, bool] = {}  # the draws repeat
-    for _ in range(samples):
-        I = random_veronese_type(rng)
-        if I not in decided:
-            decided[I] = is_polymatroidal(gradient(I))
-        if not decided[I]:
-            bad += 1
-            rep.note("replay ideal: " + ideal_to_json(I))
+    bad = _failures(rep, (random_veronese_type(rng) for _ in range(samples)),
+                    lambda I: is_polymatroidal(gradient(I)))
     rep.add(f"{samples} polymatroidal ideals: grad(I) is polymatroidal",
             0, bad)
 
 
 def _suite_lem32(rep: Report, params: dict, rng: random.Random) -> None:
     samples = _samples(params, DEFAULT_SAMPLES)
-    bad = 0
-    decided: Dict[MonomialIdeal, bool] = {}  # the draws repeat
-    for _ in range(samples):
-        n = rng.randint(2, 4)
-        I = random_ideal(n, 1, 4, rng.randint(1, 4), rng=rng)
-        if I not in decided:
-            gI = gradient(I)
-            decided[I] = all(
-                gI.degree_component(j) == gradient(I.degree_component(j + 1))
-                for j in range(0, I.omega + 3))
-        if not decided[I]:
-            bad += 1
-            rep.note("replay ideal: " + ideal_to_json(I))
+
+    def holds(I):
+        gI = gradient(I)
+        return all(gI.degree_component(j)
+                   == gradient(I.degree_component(j + 1))
+                   for j in range(0, I.omega + 3))
+
+    draws = (random_ideal(rng.randint(2, 4), 1, 4, rng.randint(1, 4), rng=rng)
+             for _ in range(samples))
     rep.add(f"{samples} ideals: grad(I)_<j> == grad(I_<j+1>) for all "
-            "j <= omega + 2", 0, bad)
+            "j <= omega + 2", 0, _failures(rep, draws, holds))
 
 
 def _suite_prop33(rep: Report, params: dict, rng: random.Random) -> None:
     samples = _samples(params, DEFAULT_SAMPLES)
     for strongly, label in ((True, "strongly stable"), (False, "stable")):
         check = is_strongly_stable if strongly else is_stable
-        bad = 0
-        decided: Dict[MonomialIdeal, bool] = {}  # the draws repeat
-        for _ in range(samples):
-            I = random_stable_ideal(rng, strongly)
-            if I not in decided:
-                gI = gradient(I)
-                # a degree-1 generator sends the gradient to the unit ideal,
-                # which is vacuously (strongly) stable
-                decided[I] = ((gI.is_unit or check(gI))
-                              and regularity(gI) <= regularity(I))
-            if not decided[I]:
-                bad += 1
-                rep.note("replay ideal: " + ideal_to_json(I))
+
+        def holds(I):
+            gI = gradient(I)
+            # a degree-1 generator sends the gradient to the unit ideal,
+            # which is vacuously (strongly) stable
+            return ((gI.is_unit or check(gI))
+                    and regularity(gI) <= regularity(I))
+
+        draws = (random_stable_ideal(rng, strongly) for _ in range(samples))
         rep.add(f"{samples} {label} ideals: grad(I) is {label} and "
-                "reg does not grow", 0, bad)
+                "reg does not grow", 0, _failures(rep, draws, holds))
 
 
 def _suite_thm43(rep: Report, params: dict, rng: random.Random) -> None:

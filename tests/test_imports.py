@@ -85,8 +85,6 @@ def test_every_private_function_has_a_caller_in_the_package():
 # linear-quotients search and vertex splitting have theirs, because the
 # input can drive the depth past the interpreter's recursion limit.
 RECURSION_ALLOWED = {
-    "kruskal._colex_iter": "k < d levels for the d-subsets, whose colex "
-                           "segment the colex-enum cap bounds",
     "verify._plain": "the nesting depth of a report value",
 }
 

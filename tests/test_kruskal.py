@@ -1,12 +1,14 @@
+from itertools import combinations
 from math import comb
 
 import pytest
 
 from monograd.caps import Caps
 from monograd.errors import DomainError, ResourceCapError
-from monograd.kruskal import (closed_form_count, closed_form_shadow,
-                              colex_shadow_oracle, macaulay_rep,
-                              many_generators_threshold, shadow_bound)
+from monograd.kruskal import (_colex_masks, closed_form_count,
+                              closed_form_shadow, colex_shadow_oracle,
+                              macaulay_rep, many_generators_threshold,
+                              shadow_bound)
 
 
 def test_macaulay_rep_examples():
@@ -42,8 +44,20 @@ def test_shadow_exact_on_colex_segments():
 
 
 def test_colex_oracle_cap():
-    with pytest.raises(ResourceCapError):
+    with pytest.raises(ResourceCapError) as raised:
         colex_shadow_oracle(10 ** 5, 3, caps=Caps(colex_enum=100))
+    # C(10, 3) = 120 is the first C(m, 3) past the cap
+    assert raised.value.needed == 120
+
+
+def test_colex_masks_are_the_brute_force_colex_segment():
+    for d in range(1, 5):
+        for m in range(d, 10):
+            segment = sorted(combinations(range(1, m + 1), d),
+                             key=lambda S: S[::-1])
+            masks = list(_colex_masks(len(segment), d, comb(m, d)))
+            assert masks == [sum(1 << (k - 1) for k in S)
+                             for S in segment], (d, m)
 
 
 def test_threshold():

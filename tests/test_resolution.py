@@ -316,10 +316,6 @@ def test_peeled_elements_match_the_dual(face_spy):
                 assert expected == ({route[1] + 1: 1}
                                     if route[0] == "sphere" else {}), (J, b)
                 routes[route[0]] += 1
-            for most in range(sum(map(bool, b)) + 2):
-                low = [i for i in expected if i <= most]
-                assert resolution._element_betti(J, b, most) == \
-                    (min(low) if low else None), (J, b, most)
     # 4907 spheres, 846 zeros, 315 partial peels and 105 unpeeled seen
     assert routes["sphere"] > 4000 and routes["zero"] > 600, routes
     assert routes["partial peel"] > 250 and routes["no peel"] > 80, routes
@@ -382,18 +378,7 @@ def test_truncated_element_betti_reads_the_full_profile():
     # the non-squarefree sweep meets the Koszul table in its own test
     koszul_checked = set(_non_squarefree_sweep())
     for J in _element_sweep():
-        if J.is_unit:
-            continue
-        for b in resolution._lcm_lattice(J, Caps()):
-            full = resolution._element_betti(J, b)
-            k = sum(map(bool, b))
-            # most = k + 1 down to 0 is every stop from -3 up to k - 2,
-            # the top dimension a dual on k vertices can have
-            for most in range(k + 2):
-                low = [i for i in full if i <= most]
-                assert resolution._element_betti(J, b, most) == \
-                    (min(low) if low else None), (J, b, most)
-        if J.is_zero:
+        if J.is_unit or J.is_zero:
             continue
         r = regularity(J, engine="hochster")
         assert r == betti_table(J, engine="hochster").regularity(), J
@@ -401,6 +386,40 @@ def test_truncated_element_betti_reads_the_full_profile():
             assert r == regularity(J, engine="koszul"), J
             koszul_checked.add(J)
     assert len(koszul_checked) > 90  # 96 distinct ideals seen
+
+
+def test_regularity_walk_decides_no_element_of_degree_at_most_omega_plus_1(
+        monkeypatch):
+    # reg >= omega, and an element away from the generators has i >= 2, so
+    # the walk starts at best = omega and stops once j <= best + 1
+    decided = []
+    element_betti = resolution._element_betti
+
+    def spy(J, b):
+        decided.append(sum(b))
+        return element_betti(J, b)
+
+    monkeypatch.setattr(resolution, "_element_betti", spy)
+    # the edges of two triangles sharing x5, and x1*x2 times each other
+    # vertex: b = x^(1,1,1,1,0,1,1) carries beta_{3,b} = beta_{4,b} = 1,
+    # and only the least i, 6 - 3 + 1, reaches reg = 4
+    bowtie = I(7, "x3*x4", "x3*x5", "x4*x5", "x5*x6", "x5*x7", "x6*x7",
+               *(f"x1*x2*x{k}" for k in (3, 4, 6, 7)))
+    assert resolution._element_betti(bowtie, (1, 1, 1, 1, 0, 1, 1)) == \
+        {3: 1, 4: 1}
+    assert regularity(bowtie, engine="hochster") == 4
+    walked = above_omega = 0
+    for J in _element_sweep() + _wide_non_squarefree_sweep() + [bowtie]:
+        if J.is_unit or J.is_zero:
+            continue
+        decided.clear()
+        r = regularity(J, engine="hochster")
+        assert all(j > J.omega + 1 for j in decided), J
+        walked += bool(decided)
+        above_omega += r > J.omega
+        assert r == betti_table(J, engine="hochster").regularity(), J
+    # 176 of 225 ideals walked, 91 with reg > omega seen
+    assert walked > 150 and above_omega > 80, (walked, above_omega)
 
 
 def test_koszul_table_builds_each_basis_and_ranks_each_differential_once(

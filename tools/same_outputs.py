@@ -4,7 +4,9 @@ Run it at two commits and compare the hashes: equal hashes mean
 byte-identical exit codes, stdout and stderr.  The inputs are
 
 - the queries of the benchmark's homology workload for seeds 0-5, each
-  answered by `betti --json` and by `reg --json`, and those on at most
+  answered by `betti --json`, by `reg --json` and by `reg --engine
+  hochster --json` (which walks the lcm lattice even where a
+  linear-quotients certificate would answer), and those on at most
   `KOSZUL_MAX_N` = 5 variables also by `betti --engine koszul --json`
   (the queries are built by `perfbench/workloads.py`, which this script
   imports without changing anything under `perfbench/`);
@@ -63,6 +65,8 @@ def outputs():
                 for command in ("betti", "reg"):
                     yield (f"{command} seed={seed} query={i}",
                            *_run([command, path, "--json"]))
+                yield (f"reg hochster seed={seed} query={i}",
+                       *_run(["reg", path, "--engine", "hochster", "--json"]))
                 if queries.queries[i][0] <= workloads.KOSZUL_MAX_N:
                     yield (f"betti koszul seed={seed} query={i}",
                            *_run(["betti", path, "--engine", "koszul",
