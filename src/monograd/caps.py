@@ -6,8 +6,8 @@ Format: comma-separated key=value pairs, e.g.
 
 Recognized keys: polarized-vars, component-enum, lq-generators, colex-enum,
 nonface-unions.  polarized-vars bounds only polarize(); nonface-unions
-bounds the lcm lattice that the Betti and regularity walk visits, its
-bottom element included.  lq-generators bounds the generators of any
+bounds the lcm-lattice elements, bottom included, that the walk's mask
+search reaches before it raises.  lq-generators bounds the generators of any
 linear-quotients search; past it the auto Betti and regularity engines
 skip the certificate.  component-enum bounds the monomials of a degree
 component, the Koszul strand bases, and the (d+1)*2d exponents of the

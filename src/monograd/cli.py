@@ -13,43 +13,27 @@ import sys
 from typing import List, Optional
 
 from .errors import DomainError, MonogradError
-from .gradient import iterated_gradient
-from .graphs import (complementary_edge_ideal, edge_ideal, family_overlap_run,
-                     family_reg_gap)
-from .ioformats import (ideal_to_json, parse_generators, parse_graph,
-                        parse_ideal, serialize_ideal)
-from .kruskal import (closed_form_count, closed_form_shadow, colex_shadow_oracle,
-                      macaulay_rep, shadow_bound)
-from .monomials import MonomialIdeal, is_complete_intersection, monomial_str
-from .resolution import (betti_table, has_differential_linear_resolution,
-                         has_linear_resolution, regularity)
-from .structure import (has_linear_quotients, is_componentwise_polymatroidal,
-                        is_polymatroidal, is_stable, is_strongly_stable,
-                        is_vertex_splittable)
-from .verify import VERIFY_IDS, verify_theorem
+from .verify_ids import VERIFY_IDS
 
+# Each handler imports the engines it calls, so that a command loads only
+# those; each predicate below is a package name, loaded when it is checked.
 _CHECKS = {
-    "linear-resolution": has_linear_resolution,
-    "differential-linear-resolution":
-        lambda I: bool(has_differential_linear_resolution(I)),
-    "linear-quotients": has_linear_quotients,
-    "vertex-splittable": is_vertex_splittable,
-    "polymatroidal": is_polymatroidal,
-    "componentwise-polymatroidal": is_componentwise_polymatroidal,
-    "stable": is_stable,
-    "strongly-stable": is_strongly_stable,
-    "complete-intersection": is_complete_intersection,
+    "linear-resolution": "has_linear_resolution",
+    "differential-linear-resolution": "has_differential_linear_resolution",
+    "linear-quotients": "has_linear_quotients",
+    "vertex-splittable": "is_vertex_splittable",
+    "polymatroidal": "is_polymatroidal",
+    "componentwise-polymatroidal": "is_componentwise_polymatroidal",
+    "stable": "is_stable",
+    "strongly-stable": "is_strongly_stable",
+    "complete-intersection": "is_complete_intersection",
 }
 
 
-def _load_ideal(path: str) -> MonomialIdeal:
+def _load_ideal(path: str):
+    from .ioformats import parse_ideal
     with open(path) as fh:
         return parse_ideal(json.load(fh))
-
-
-def _load_graph(path: str):
-    with open(path) as fh:
-        return parse_graph(json.load(fh))
 
 
 def _emit(doc, as_json: bool) -> None:
@@ -134,38 +118,40 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_stats(args, as_json: bool) -> int:
+    from .ioformats import parse_generators
+    from .monomials import MonomialIdeal, monomial_str
     if args.no_minimalize:
         with open(args.file) as fh:
             n, gens = parse_generators(json.load(fh))
         doc = {"n": n, "raw_generators": [monomial_str(u) for u in gens],
-               "raw_count": len(gens)}
-        I = MonomialIdeal(n, gens)
-        doc["minimal_count"] = I.mu
-        _emit(doc, as_json)
-        return 0
-    I = _load_ideal(args.file)
-    s = I.stats()
-    doc = {"n": I.n, "mu": s.mu, "alpha": s.alpha, "omega": s.omega,
-           "support": sorted(s.support), "squarefree": I.is_squarefree,
-           "equigenerated": I.is_equigenerated,
-           "generators": [monomial_str(u) for u in I.gens]}
+               "raw_count": len(gens),
+               "minimal_count": MonomialIdeal(n, gens).mu}
+    else:
+        I = _load_ideal(args.file)
+        s = I.stats()
+        doc = {"n": I.n, "mu": s.mu, "alpha": s.alpha, "omega": s.omega,
+               "support": sorted(s.support), "squarefree": I.is_squarefree,
+               "equigenerated": I.is_equigenerated,
+               "generators": [monomial_str(u) for u in I.gens]}
     _emit(doc, as_json)
     return 0
 
 
 def _cmd_grad(args, as_json: bool) -> int:
+    from .gradient import iterated_gradient
+    from .ioformats import serialize_ideal
+    from .monomials import monomial_str
     if args.order < 0:
         raise DomainError("--order must be nonnegative")
     J = iterated_gradient(_load_ideal(args.file), args.order)
-    if as_json:
-        print(json.dumps(serialize_ideal(J), sort_keys=True))
-    else:
-        print(", ".join(monomial_str(u) for u in J.gens) or
-              ("1" if J.is_unit else "0"))
+    _emit(serialize_ideal(J) if as_json else
+          ", ".join(map(monomial_str, J.gens)) or ("1" if J.is_unit else "0"),
+          as_json)
     return 0
 
 
 def _cmd_betti(args, as_json: bool) -> int:
+    from .resolution import betti_table
     table = betti_table(_load_ideal(args.file), engine=args.engine)
     entries = (table.quotient_entries() if args.quotient
                else table.ideal_entries())
@@ -185,37 +171,42 @@ def _cmd_betti(args, as_json: bool) -> int:
 
 
 def _cmd_reg(args, as_json: bool) -> int:
+    from .resolution import regularity
     r = regularity(_load_ideal(args.file), engine=args.engine)
     _emit({"regularity": r} if as_json else r, as_json)
     return 0
 
 
 def _cmd_check(args, as_json: bool) -> int:
-    result = bool(_CHECKS[args.property](_load_ideal(args.file)))
+    check = getattr(sys.modules[__package__], _CHECKS[args.property])
+    result = bool(check(_load_ideal(args.file)))
     _emit({"property": args.property, "holds": result} if as_json
           else str(result).lower(), as_json)
     return 0 if result else 1
 
 
 def _cmd_family(args, as_json: bool) -> int:
-    if args.family == "thm22":
-        fam = family_reg_gap(args.a)
-        I = fam.ideal
-    else:
-        I = family_overlap_run(args.d)
-    print(ideal_to_json(I) if as_json else
-          json.dumps(serialize_ideal(I)))
+    from .graphs import family_overlap_run, family_reg_gap
+    from .ioformats import serialize_ideal
+    I = (family_reg_gap(args.a).ideal if args.family == "thm22"
+         else family_overlap_run(args.d))
+    print(json.dumps(serialize_ideal(I), sort_keys=as_json))
     return 0
 
 
 def _cmd_graph(args, as_json: bool) -> int:
-    G = _load_graph(args.file)
+    from .graphs import complementary_edge_ideal, edge_ideal
+    from .ioformats import parse_graph, serialize_ideal
+    with open(args.file) as fh:
+        G = parse_graph(json.load(fh))
     I = edge_ideal(G) if args.kind == "edge" else complementary_edge_ideal(G)
-    print(ideal_to_json(I) if as_json else json.dumps(serialize_ideal(I)))
+    print(json.dumps(serialize_ideal(I), sort_keys=as_json))
     return 0
 
 
 def _cmd_kk(args, as_json: bool) -> int:
+    from .kruskal import (closed_form_count, closed_form_shadow,
+                          colex_shadow_oracle, macaulay_rep, shadow_bound)
     if args.kk == "rep":
         rep = macaulay_rep(args.a, args.d)
         doc = {"a": args.a, "d": args.d, "terms": [list(t) for t in rep.terms],
@@ -235,6 +226,7 @@ def _cmd_kk(args, as_json: bool) -> int:
 
 
 def _cmd_verify(args, as_json: bool) -> int:
+    from .verify import verify_theorem
     params = {}
     for item in args.param:
         if "=" not in item:
@@ -250,12 +242,10 @@ def _cmd_verify(args, as_json: bool) -> int:
     if as_json:
         print(rep.to_json())
     else:
-        print(f"verify {rep.theorem_id}: "
-              f"{'PASS' if rep.passed else 'FAIL'}")
+        print(f"verify {rep.theorem_id}: {'PASS' if rep.passed else 'FAIL'}")
         for c in rep.checks:
-            mark = "ok " if c.passed else "FAIL"
-            print(f"  [{mark}] {c.description}: expected {c.expected}, "
-                  f"computed {c.computed}")
+            print(f"  [{'ok ' if c.passed else 'FAIL'}] {c.description}: "
+                  f"expected {c.expected}, computed {c.computed}")
         for note in rep.engine_notes:
             print(f"  note: {note}")
     return 0 if rep.passed else 1
@@ -282,10 +272,7 @@ def run_cli(argv: Optional[List[str]] = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return _COMMANDS[args.command](args, getattr(args, "json", False))
-    except MonogradError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except (MonogradError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,7 +13,6 @@ import re
 from typing import List, Tuple, Union
 
 from .errors import DomainError, ExponentOverflowError
-from .graphs import SimpleGraph
 from .monomials import (EXPONENT_BOUND, Monomial, MonomialIdeal,
                         _is_exponent_list, _support_mask)
 
@@ -99,6 +98,7 @@ def ideal_to_json(I: MonomialIdeal) -> str:
 
 
 def parse_graph(doc: Union[str, dict]) -> SimpleGraph:
+    from .graphs import SimpleGraph  # loaded only for a graph document
     if isinstance(doc, str):
         doc = json.loads(doc)
     if not isinstance(doc, dict) or "n" not in doc or "edges" not in doc:

@@ -27,10 +27,10 @@ supp b : x^(b-F) in I} (Miller-Sturmfels, Thm 1.34), k = |w| vertices:
 beta_{i,b} = dim H~_{k-i-1}(D).  The minimal nonfaces of D are the
 minimal tight sets; for squarefree I, D is Delta_W, W = supp b, and the
 formula is Hochster's.  At s = 0 this is the presentation of b itself.
-The exponent index of G(I) gives the tight sets, and the bottom b = 0
+A top-down search over generator masks on the exponent index of G(I)
+builds the lattice with each element's tight sets; the bottom b = 0
 carries beta_{0,0} = 1.  An independent Koszul-strand oracle computes
-the same Tor dimensions, and polarization is a public utility and
-oracle.
+the same Tor dimensions; polarization is a public utility and oracle.
 
 Engine "auto" walks the lattice only when no certificate turns up: a
 degree-nondecreasing linear-quotients order u_1..u_m, with r_k variables
@@ -44,7 +44,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache, reduce
-from itertools import combinations, compress, count, product
+from itertools import combinations, product
 from operator import or_
 from typing import Dict, Optional, Tuple
 
@@ -53,7 +53,7 @@ from .complexes import SimplicialComplex, _antichain
 from .errors import DomainError, ResourceCapError
 from .exact_rank import sparse_rank
 from .gradient import gradient
-from .monomials import MonomialIdeal, monomials_of_degree
+from .monomials import MonomialIdeal
 from .structure import UNDECIDED, QuotientOrder, linear_quotients_order
 
 
@@ -93,26 +93,32 @@ class BettiTable:
 # ---------------------------------------------------------------------------
 # the lcm lattice
 
-def _lcm_lattice(I: MonomialIdeal, caps: Caps) -> set:
-    """The lcm lattice of the generators, its bottom (the empty lcm)
-    included; its size is bounded by the nonface-unions cap."""
-    lattice = {(0,) * I.n}
-    for g in I.gens:
-        lattice |= {tuple(map(max, b, g)) for b in lattice}
-        if len(lattice) > caps.nonface_unions:
-            raise ResourceCapError("nonface-unions", caps.nonface_unions,
-                                   len(lattice))
-    return lattice
-
-
-def _tight_columns(I: MonomialIdeal, b):
-    """(G_b, {1 << k: A_k for k in supp b}): the mask of the generators
-    dividing x^b, and for each k the mask of those tight at k, that is
-    with g_k = b_k, both read off the exponent index."""
+def _lattice(I: MonomialIdeal, caps: Caps):
+    """Yield (b, G_b, columns) for each element b of the lcm lattice, the
+    bottom included: G_b masks the generators dividing x^b, and columns =
+    {1 << k: A_k for k in supp b}, A_k those of G_b with g_k = b_k.  From
+    the full mask, b_k is the largest e whose exponent mask meets G_b, the
+    meet is A_k, and G_b less A_k masks the element below b that lowers
+    b_k, so a stack search reaches every element; nonface-unions caps them."""
     index = I._exponent_index()
-    divisors = index.divisors(b)
-    return divisors, {1 << k: divisors & index.exact[k][b[k]]
-                      for k in compress(count(), b)}
+    # per variable, its nonzero exponents from the largest down, with masks
+    tables = [(k, sorted(((e, a) for e, a in exact.items() if e),
+                         reverse=True)) for k, exact in enumerate(index.exact)]
+    seen, stack, cap = {index.full}, [index.full], caps.nonface_unions
+    while stack:
+        G = stack.pop()
+        b, columns = [0] * I.n, {}
+        for k, exponents in tables:
+            for e, a in exponents:
+                if a & G:
+                    b[k], columns[1 << k] = e, a & G
+                    if (child := G & ~a) not in seen:
+                        seen.add(child)
+                        stack.append(child)
+                    break
+        if len(seen) > cap:
+            raise ResourceCapError("nonface-unions", cap, len(seen))
+        yield tuple(b), G, columns
 
 
 def _tight_sets(columns) -> dict:
@@ -127,18 +133,17 @@ def _tight_sets(columns) -> dict:
     return tight
 
 
-def _element_betti(I: MonomialIdeal, b) -> Dict[int, int]:
+def _element_betti(I: MonomialIdeal, members, columns) -> Dict[int, int]:
     """The Betti numbers beta_{i,b}(S/I) of a lattice element b, as
-    {i: beta_{i,b}} over the nonzero ones.
+    {i: beta_{i,b}} over the nonzero ones, from G_b and its columns.
 
     The rules of the module docstring run on the columns A_k of the tight
     sets: a member is a generator bit, and a vertex k is private to a
     member when A_k is that one bit.  What is left after s peels is read
     off the dual D on w, with i shifted by s.
     """
-    if not any(b):  # the bottom: beta_{0,0} = 1, the free part of S/I
+    if not members:  # the bottom: beta_{0,0} = 1, the free part of S/I
         return {0: 1}
-    members, columns = _tight_columns(I, b)
     s = 0
     while True:
         masks = columns.values()
@@ -172,12 +177,12 @@ def _element_betti(I: MonomialIdeal, b) -> Dict[int, int]:
 def _lattice_betti(I: MonomialIdeal, caps: Caps,
                    degree: Optional[int] = None) -> Dict[Tuple[int, int], int]:
     """Quotient-convention Betti numbers of S/I, (0, 0) included, from the
-    lattice elements of the given degree only if one is given."""
+    lattice elements of the given degree only if one is given.  The whole
+    lattice is built first, so that past a cap no element is decided."""
     entries: Dict[Tuple[int, int], int] = {}
-    for b in _lcm_lattice(I, caps):
-        j = sum(b)
-        if degree is None or j == degree:
-            for i, h in _element_betti(I, b).items():
+    for b, members, columns in list(_lattice(I, caps)):
+        if (j := sum(b)) == degree or degree is None:
+            for i, h in _element_betti(I, members, columns).items():
                 entries[i, j] = entries.get((i, j), 0) + h
     return entries
 
@@ -198,11 +203,12 @@ def _hochster_regularity(I: MonomialIdeal, caps: Caps) -> int:
     # a generator of degree omega carries beta_1, so reg >= omega; every
     # other element has i >= 2, so once j <= best + 1 none can raise best
     best = I.omega
-    for j, b in sorted(((sum(b), b) for b in _lcm_lattice(I, caps)),
-                       reverse=True):
+    # distinct elements have distinct masks G, so no columns are compared
+    for j, members, columns in sorted(((sum(b), G, columns) for b, G, columns
+                                       in _lattice(I, caps)), reverse=True):
         if j <= best + 1:
             break
-        if profile := _element_betti(I, b):
+        if profile := _element_betti(I, members, columns):
             best = max(best, j - min(profile) + 1)
     return best
 
@@ -241,16 +247,20 @@ def polarize(I: MonomialIdeal, caps: Optional[Caps] = None) -> Polarization:
 
 def _koszul_basis(I: MonomialIdeal, i: int, j: int, caps: Caps) -> dict:
     """B_i = Lambda^i (x) (S/I)_{j-i} as {(F, w): row}, F an i-subset of
-    the 0-based variables and w a standard monomial of degree j - i."""
+    the 0-based variables and w a standard monomial of degree j - i; the
+    standard monomials grow degree by degree as an order ideal."""
     n, d = I.n, j - i
     if not 0 <= i <= n or d < 0:
         return {}
     need = math.comb(n, i) * (math.comb(n + d - 1, d) if n else (d == 0))
     if need > caps.component_enum:
         raise ResourceCapError("component-enum", caps.component_enum, need)
-    standard = [w for w in monomials_of_degree(n, d) if not I._contains(w)]
-    return {Fw: r for r, Fw in
-            enumerate(product(combinations(range(n), i), standard))}
+    level = [((0,) * n, 0)]  # (w, the first variable w may still gain)
+    for _ in range(d):
+        level = [(v, k) for w, low in level for k in range(low, n)
+                 if not I._contains(v := w[:k] + (w[k] + 1,) + w[k + 1:])]
+    return {Fw: r for r, Fw in enumerate(product(combinations(range(n), i),
+                                                 (w for w, _ in level)))}
 
 
 def _koszul_strand(I: MonomialIdeal, j: int, caps: Caps,

@@ -33,6 +33,7 @@ from .structure import (has_linear_quotients, is_polymatroidal, is_stable,
                         is_strongly_stable, is_vertex_splittable,
                         linear_quotients_order, stable_closure,
                         strongly_stable_closure)
+from .verify_ids import VERIFY_IDS
 
 DEFAULT_SAMPLES = 200
 
@@ -563,8 +564,6 @@ _DISPATCH = {  # each suite with the parameters it reads
     "kk-remark": (_suite_kk_remark, set()),
     "thm6.1": (_suite_thm61, {"n_max", "k"}),
 }
-
-VERIFY_IDS = tuple(sorted(_DISPATCH))
 
 
 def verify_theorem(theorem_id: str, parameters: Optional[dict] = None,

@@ -1,7 +1,8 @@
 """Static checks on the runtime package's source: it imports nothing
 outside the standard library, every private function has a caller, no
 function recurses outside an allowlist, no assert statement stands in
-for a check, and importing the package loads only the monomial core."""
+for a check, importing the package loads only the monomial core, and each
+CLI command loads only the engines it runs."""
 
 import ast
 import os
@@ -276,6 +277,35 @@ def test_import_footprint_in_a_fresh_interpreter():
     out = _python("ns = {}\nexec('from monograd import *', ns)\n"
                   "print(' '.join(sorted(set(ns) - {'__builtins__'})))\n")
     assert out.split() == sorted(STAR_NAMES.split())
+
+
+def _loaded_after(argv):
+    """The monograd submodules loaded after run_cli(argv) in a fresh
+    interpreter, the package itself left out."""
+    out = _python("import contextlib, io, sys\n"
+                  "from monograd.cli import run_cli\n"
+                  "with contextlib.redirect_stdout(io.StringIO()):\n"
+                  f"    run_cli({argv!r})\n"
+                  "print(' '.join(sorted(k[9:] for k in sys.modules "
+                  "if k.startswith('monograd.'))))\n")
+    return set(out.split())
+
+
+def test_each_cli_command_loads_only_its_engines(tmp_path):
+    ideal = tmp_path / "ideal.json"
+    ideal.write_text('{"n": 3, "gens": ["x1*x2", "x2*x3", "x1^2*x3"]}')
+    lattice = EAGER | {"cli", "ioformats", "verify_ids", "resolution",
+                       "structure", "complexes", "exact_rank"}
+    for argv in (["betti", str(ideal)], ["reg", str(ideal)],
+                 ["betti", str(ideal), "--engine", "hochster", "--json"],
+                 ["reg", str(ideal), "--engine", "koszul"]):
+        assert _loaded_after(argv) == lattice, argv
+    assert _loaded_after(["stats", str(ideal)]) == \
+        EAGER | {"cli", "ioformats", "verify_ids"}
+    assert _loaded_after(["kk", "rep", "--a", "10", "--d", "3"]) == \
+        EAGER | {"cli", "verify_ids", "kruskal"}
+    everything = {f.stem for f in SRC.glob("*.py")} - {"__init__", "__main__"}
+    assert _loaded_after(["verify", "kk-remark", "--seed", "0"]) == everything
 
 
 STAR_NAMES = """

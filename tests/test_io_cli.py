@@ -4,12 +4,14 @@ import os
 import random
 import subprocess
 import sys
+import time
 from math import comb
 from pathlib import Path
 
 import pytest
 
-from monograd import cli
+import monograd
+from monograd import cli, verify
 from monograd.caps import Caps, default_caps
 from monograd.cli import run_cli
 from monograd.errors import DomainError, ExponentOverflowError
@@ -210,6 +212,15 @@ def test_cli_verify(capsys):
     assert run_cli(["verify", "kk-remark", "--json"]) == 2
 
 
+def test_cli_verify_ids_are_the_suites():
+    # the parser takes its choices from a module that loads no engine
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    ids = next(a for a in sub.choices["verify"]._actions if a.dest == "id")
+    assert tuple(ids.choices) == tuple(sorted(verify._DISPATCH))
+    assert monograd.VERIFY_IDS == verify.VERIFY_IDS == tuple(ids.choices)
+
+
 @pytest.mark.parametrize("argv", [
     ["thm4.3", "--param", "n=abc"],
     ["thm2.2", "--param", "a=1.5"],
@@ -339,7 +350,8 @@ def test_cli_parser_is_built_once_and_reused_safely(ideal_file, monkeypatch,
         seen.append(params)
         return Report(theorem_id=theorem_id, parameters=params, seed=seed)
 
-    monkeypatch.setattr(cli, "verify_theorem", fake_verify)
+    # the handler imports verify_theorem when it runs
+    monkeypatch.setattr("monograd.verify.verify_theorem", fake_verify)
     builds = []
     real_init = argparse.ArgumentParser.__init__
 
@@ -449,6 +461,25 @@ def test_cli_certificate_search_deeper_than_the_recursion_limit(
     # the ranks of a free resolution of S/I alternate to zero
     assert 1 + sum((-1) ** (i + 1) * b for i, _, b in doc["entries"]) == 0
     assert (doc["regularity"], doc["projective_dimension"]) == (8, 6)
+
+
+def test_cli_reg_walks_the_mu_1470_lattice_at_the_default_caps(ideal_file):
+    # the input above, past the default lq-generators cap: reg walks its
+    # 68,757 lattice elements, in a fresh interpreter with no cap override
+    edges = "12 13 15 17 23 24 25 26 27 34 35 36 37 46 56 67".split()
+    J = I(7, *(f"x{e[0]}*x{e[1]}" for e in edges)) ** 4
+    assert J.mu == 1470 > default_caps().lq_generators
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env.pop("MONOGRAD_CAPS", None)
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "monograd", "reg",
+                           ideal_file(serialize_ideal(J))],
+                          env=env, capture_output=True, text=True, timeout=60)
+    elapsed = time.perf_counter() - start
+    assert (done.returncode, done.stdout, done.stderr) == (0, "8\n", "")
+    assert elapsed < 15, elapsed  # about 4 s on 2 CPUs
 
 
 def test_cli_vertex_splitting_deeper_than_the_recursion_limit(ideal_file,

@@ -108,10 +108,34 @@ def _small_sweep():
         for n in (1, 2, 3, 4, 5, 6, 7) for _ in range(5)]
 
 
+def _lcm_lattice(J):
+    """The lcm lattice of the generators, its bottom (the empty lcm)
+    included, by closing them under lcm: the oracle of the search."""
+    lattice = {(0,) * J.n}
+    for g in J.gens:
+        lattice |= {tuple(map(max, b, g)) for b in lattice}
+    return lattice
+
+
+def _tight_columns(J, b):
+    """(G_b, {1 << k: A_k for k in supp b}) of a lattice element b, looked
+    up in the exponent index: the mask of the generators dividing x^b, and
+    for each k the mask of those with g_k = b_k."""
+    index = J._exponent_index()
+    divisors = index.divisors(b)
+    return divisors, {1 << k: divisors & index.exact[k][b[k]]
+                      for k in range(J.n) if b[k]}
+
+
+def _element_betti(J, b):
+    """resolution._element_betti of b, its columns looked up."""
+    return resolution._element_betti(J, *_tight_columns(J, b))
+
+
 def test_mask_built_dual_matches_public_constructor():
     voids = 0
     for J in _small_sweep():
-        for b in resolution._lcm_lattice(J, Caps()):
+        for b in _lcm_lattice(J):
             w, dual = _koszul_dual_scan(J, b)
             assert w == sum(1 << k for k, c in enumerate(b) if c)
             tight = [[k + 1 for k in range(J.n) if b[k] and g[k] == b[k]]
@@ -141,7 +165,7 @@ def _index_dual(J, b):
     """(w, D) as _koszul_dual_scan, from the tight columns the lattice walk
     reads off the exponent index; a generator tight nowhere is in no
     column and makes D void."""
-    divisors, columns = resolution._tight_columns(J, b)
+    divisors, columns = _tight_columns(J, b)
     tight = list(resolution._tight_sets(columns).values())
     if len(tight) < divisors.bit_count():
         tight.append(0)
@@ -158,10 +182,34 @@ def _wide_exponent_ideals():
 def test_index_built_dual_matches_generator_scan():
     checked = 0
     for J in _element_sweep() + _wide_exponent_ideals():
-        for b in resolution._lcm_lattice(J, Caps()):
+        for b in _lcm_lattice(J):
             assert _index_dual(J, b) == _koszul_dual_scan(J, b), (J, b)
             checked += 1
     assert checked > 3500
+
+
+def test_mask_search_matches_the_closure_and_the_lookups():
+    # (chordal edge ideal)^2 on 7 vertices: mu = 108, past one machine word
+    edges = "12 13 15 17 23 24 25 26 27 34 35 36 37 46 56 67".split()
+    square = I(7, *(f"x{e[0]}*x{e[1]}" for e in edges)) ** 2
+    assert square.mu == 108
+    elements = 0
+    for J in _element_sweep() + _wide_exponent_ideals() + [square]:
+        found = list(resolution._lattice(J, Caps()))
+        assert len(found) == len(_lcm_lattice(J)), J
+        assert {b for b, _, _ in found} == _lcm_lattice(J), J
+        for b, members, columns in found:
+            assert (members, columns) == _tight_columns(J, b), (J, b)
+        elements += len(found)
+    assert len(found) == 1892 and elements > 5000
+    # the bottom: no generator divides 1, and it has no column
+    assert ((0,) * 7, 0, {}) in found
+    for J, cap in ((square, 1000), (I(4, "x1*x2", "x3*x4"), 3)):
+        with pytest.raises(ResourceCapError) as err:
+            list(resolution._lattice(J, Caps(nonface_unions=cap)))
+        assert (err.value.cap_name, err.value.limit) == ("nonface-unions",
+                                                         cap)
+        assert err.value.needed > cap
 
 
 def _homology_shaped(rng, n, mu):
@@ -243,10 +291,10 @@ def test_element_betti_matches_the_dual(face_spy):
     for J in _element_sweep() + _wide_exponent_ideals():
         if J.is_unit:
             continue
-        for b in resolution._lcm_lattice(J, Caps()):
+        for b in _lcm_lattice(J):
             expected = _by_dual(J, b)
             face_spy.clear()
-            assert resolution._element_betti(J, b) == expected, (J, b)
+            assert _element_betti(J, b) == expected, (J, b)
             # only an element the peel rules leave reaches the dual, and it
             # is built on the reduced w'
             left = _peel_reference(J, b) if any(b) else ("bottom",)
@@ -277,9 +325,9 @@ def test_element_betti_edge_cases(face_spy):
         (I(3, "x1^2", "x2^3", "x3"), (2, 3, 1), {3: 1}),
     ]
     for J, b, expected in cases:
-        assert b in resolution._lcm_lattice(J, Caps())
+        assert b in _lcm_lattice(J)
         face_spy.clear()
-        assert resolution._element_betti(J, b) == expected, (J, b)
+        assert _element_betti(J, b) == expected, (J, b)
         assert face_spy == [], (J, b)
         assert _by_dual(J, b) == expected, (J, b)
     _, dual = _koszul_dual_scan(*cases[1][:2])
@@ -300,12 +348,12 @@ def test_peeled_elements_match_the_dual(face_spy):
     for J in _element_sweep() + _wide_non_squarefree_sweep():
         if J.is_unit:
             continue
-        for b in resolution._lcm_lattice(J, Caps()):
+        for b in _lcm_lattice(J):
             if not any(b):
                 continue
             expected = _by_dual(J, b)
             face_spy.clear()
-            assert resolution._element_betti(J, b) == expected, (J, b)
+            assert _element_betti(J, b) == expected, (J, b)
             route = _peel_reference(J, b)
             if route[0] == "left":
                 routes["partial peel" if route[1] else "no peel"] += 1
@@ -344,11 +392,11 @@ def test_peeled_elements_match_the_dual(face_spy):
          (1, 1, 3, 1, 2), {3: 2}, ("left", 1)),
     ]
     for J, b, expected, route in pinned:
-        assert b in resolution._lcm_lattice(J, Caps())
+        assert b in _lcm_lattice(J)
         assert _by_dual(J, b) == expected, (J, b)
         assert _peel_reference(J, b)[:2] == route, (J, b)
         face_spy.clear()
-        assert resolution._element_betti(J, b) == expected, (J, b)
+        assert _element_betti(J, b) == expected, (J, b)
         if route[0] != "left":
             assert face_spy == [], (J, b)
         else:
@@ -363,10 +411,10 @@ def test_most_lattice_elements_enumerate_no_face(face_spy):
     ideals = [_homology_shaped(rng, 8 + t % 3, 3 + t % 8) for t in range(20)]
     elements = faceless = 0
     for J in ideals + [gradient(J) for J in ideals]:
-        for b in resolution._lcm_lattice(J, Caps()):
+        for b in _lcm_lattice(J):
             if any(b):
                 face_spy.clear()
-                resolution._element_betti(J, b)
+                _element_betti(J, b)
                 elements += 1
                 faceless += not face_spy
     # 1808 of 1974 seen: a walk without the peel enumerates faces for all
@@ -395,9 +443,11 @@ def test_regularity_walk_decides_no_element_of_degree_at_most_omega_plus_1(
     decided = []
     element_betti = resolution._element_betti
 
-    def spy(J, b):
-        decided.append(sum(b))
-        return element_betti(J, b)
+    def spy(J, members, columns):
+        # the degree of b = lcm of the generators in G_b
+        below = [g for t, g in enumerate(J.gens) if members >> t & 1]
+        decided.append(sum(map(max, zip(*below))) if below else 0)
+        return element_betti(J, members, columns)
 
     monkeypatch.setattr(resolution, "_element_betti", spy)
     # the edges of two triangles sharing x5, and x1*x2 times each other
@@ -405,7 +455,7 @@ def test_regularity_walk_decides_no_element_of_degree_at_most_omega_plus_1(
     # and only the least i, 6 - 3 + 1, reaches reg = 4
     bowtie = I(7, "x3*x4", "x3*x5", "x4*x5", "x5*x6", "x5*x7", "x6*x7",
                *(f"x1*x2*x{k}" for k in (3, 4, 6, 7)))
-    assert resolution._element_betti(bowtie, (1, 1, 1, 1, 0, 1, 1)) == \
+    assert _element_betti(bowtie, (1, 1, 1, 1, 0, 1, 1)) == \
         {3: 1, 4: 1}
     assert regularity(bowtie, engine="hochster") == 4
     walked = above_omega = 0
