@@ -15,14 +15,13 @@ overlapping-windows family (`family thm23 --d`).  Values are integers >= 0.
 """
 
 import os
-from dataclasses import dataclass, fields, replace
+from typing import NamedTuple
 
 from .errors import CapsFormatError
 
 _ENV_VAR = "MONOGRAD_CAPS"
 
-@dataclass(frozen=True)
-class Caps:
+class Caps(NamedTuple):
     polarized_vars: int = 24
     component_enum: int = 10**6
     lq_generators: int = 64
@@ -30,7 +29,7 @@ class Caps:
     nonface_unions: int = 1 << 20
 
 
-_KEYMAP = {f.name.replace("_", "-"): f.name for f in fields(Caps)}
+_KEYMAP = {name.replace("_", "-"): name for name in Caps._fields}
 
 
 def _from_env(base: Caps) -> Caps:
@@ -54,7 +53,7 @@ def _from_env(base: Caps) -> Caps:
             raise CapsFormatError(
                 f"{_ENV_VAR} value for {key!r} is not a nonnegative "
                 f"integer: {value.strip()!r}")
-    return replace(base, **overrides)
+    return base._replace(**overrides)
 
 
 _DEFAULTS = Caps()

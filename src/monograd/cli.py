@@ -10,6 +10,7 @@ import argparse
 import functools
 import json
 import sys
+import warnings
 from typing import List, Optional
 
 from .errors import DomainError, MonogradError
@@ -270,11 +271,16 @@ def run_cli(argv: Optional[List[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    try:
-        return _COMMANDS[args.command](args, getattr(args, "json", False))
-    except (MonogradError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")  # warn on every call, not once
+        try:
+            return _COMMANDS[args.command](args, getattr(args, "json", False))
+        except (MonogradError, OSError, json.JSONDecodeError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        finally:
+            for w in caught:
+                print(f"warning: {w.message}", file=sys.stderr)
 
 
 def main() -> None:

@@ -15,21 +15,23 @@ formed per call from the decomposition alone.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from operator import add
-from typing import FrozenSet, List, Optional, Tuple
+from typing import FrozenSet, List, NamedTuple, Optional, Tuple
 
 from .caps import default_caps
 from .errors import DomainError, ResourceCapError
 from .monomials import MonomialIdeal, _to_mask, supp, variable
 
 
-@dataclass(frozen=True)
-class SimpleGraph:
+class _Graph(NamedTuple):
     n: int
     edges: FrozenSet[FrozenSet[int]]
 
-    def __init__(self, n: int, edges):
+
+class SimpleGraph(_Graph):
+    __slots__ = ()
+
+    def __new__(cls, n: int, edges):
         norm = set()
         for e in edges:
             a, b = sorted(e)
@@ -38,8 +40,7 @@ class SimpleGraph:
             if not (1 <= a and b <= n):
                 raise DomainError(f"edge {{{a},{b}}} out of range 1..{n}")
             norm.add(frozenset((a, b)))
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", frozenset(norm))
+        return super().__new__(cls, n, frozenset(norm))
 
     def neighbors(self, v: int) -> set:
         return {next(iter(e - {v})) for e in self.edges if v in e}
@@ -132,8 +133,7 @@ def _connected_on(vertices: List[int], edges) -> bool:
 # ---------------------------------------------------------------------------
 # x_v * P + J decomposition of quadratic squarefree ideals
 
-@dataclass(frozen=True)
-class QuadraticDecomposition:
+class QuadraticDecomposition(NamedTuple):
     """I = x_v * P + J with P a variable-generated prime and J inside P."""
 
     v: int
@@ -238,8 +238,7 @@ def gradient_power_closed_form(dec: QuadraticDecomposition, n: int,
 # ---------------------------------------------------------------------------
 # families with prescribed regularity gaps
 
-@dataclass(frozen=True)
-class RegGapFamily:
+class RegGapFamily(NamedTuple):
     ideal: MonomialIdeal
     expected_reg: int
     expected_reg_gradient: int

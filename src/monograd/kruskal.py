@@ -8,16 +8,14 @@ independent check of the numeric bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import count
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .caps import Caps, default_caps
 from .errors import DomainError, ResourceCapError
 
 
-@dataclass(frozen=True)
-class MacaulayRep:
+class MacaulayRep(NamedTuple):
     """a = sum of C(a_i, i) with a_d > a_{d-1} > ... > a_t >= t >= 1."""
 
     d: int

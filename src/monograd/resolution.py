@@ -42,11 +42,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from functools import cache, reduce
 from itertools import combinations, product
 from operator import or_
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from .caps import Caps, default_caps
 from .complexes import SimplicialComplex, _antichain
@@ -60,8 +59,7 @@ from .structure import UNDECIDED, QuotientOrder, linear_quotients_order
 # ---------------------------------------------------------------------------
 # Betti tables
 
-@dataclass(frozen=True)
-class BettiTable:
+class BettiTable(NamedTuple):
     """Graded Betti numbers, stored in the quotient convention.
 
     entries[(i, j)] = beta_{i,j}(S/I) for i >= 1; the ideal convention is
@@ -216,8 +214,7 @@ def _hochster_regularity(I: MonomialIdeal, caps: Caps) -> int:
 # ---------------------------------------------------------------------------
 # polarization
 
-@dataclass(frozen=True)
-class Polarization:
+class Polarization(NamedTuple):
     """A squarefree model of I with the variable bookkeeping.
 
     variables[k] = (original 1-based index, slot) for new variable k+1.
@@ -245,34 +242,37 @@ def polarize(I: MonomialIdeal, caps: Optional[Caps] = None) -> Polarization:
 # ---------------------------------------------------------------------------
 # Koszul strand oracle
 
-def _koszul_basis(I: MonomialIdeal, i: int, j: int, caps: Caps) -> dict:
+def _koszul_basis(I: MonomialIdeal, i: int, j: int, caps: Caps,
+                  levels: list) -> dict:
     """B_i = Lambda^i (x) (S/I)_{j-i} as {(F, w): row}, F an i-subset of
-    the 0-based variables and w a standard monomial of degree j - i; the
-    standard monomials grow degree by degree as an order ideal."""
+    the 0-based variables and w a standard monomial of degree j - i.
+    levels[e] lists those of degree e as (w, the first variable w may still
+    gain), from [[((0,) * n, 0)]]; a missing degree grows from the one below
+    as an order ideal, once per list."""
     n, d = I.n, j - i
     if not 0 <= i <= n or d < 0:
         return {}
     need = math.comb(n, i) * (math.comb(n + d - 1, d) if n else (d == 0))
     if need > caps.component_enum:
         raise ResourceCapError("component-enum", caps.component_enum, need)
-    level = [((0,) * n, 0)]  # (w, the first variable w may still gain)
-    for _ in range(d):
-        level = [(v, k) for w, low in level for k in range(low, n)
-                 if not I._contains(v := w[:k] + (w[k] + 1,) + w[k + 1:])]
+    while len(levels) <= d:
+        levels.append([(v, k) for w, low in levels[-1] for k in range(low, n)
+                       if not I._contains(
+                           v := w[:k] + (w[k] + 1,) + w[k + 1:])])
     return {Fw: r for r, Fw in enumerate(product(combinations(range(n), i),
-                                                 (w for w, _ in level)))}
+                                                 (w for w, _ in levels[d])))}
 
 
-def _koszul_strand(I: MonomialIdeal, j: int, caps: Caps,
-                   rows) -> Dict[int, int]:
+def _koszul_strand(I: MonomialIdeal, j: int, caps: Caps, rows,
+                   levels: list) -> Dict[int, int]:
     """{i: beta_{i,j}(S/I)} over the i in rows with a nonzero value, from
     the degree-j strand of the Koszul complex on x_1..x_n tensored with
     S/I: beta_{i,j} = |B_i| - rk d_i - rk d_{i+1}, with d_i sending (F, w)
     to the sum over k of (-1)^k (F less F_k, w x_{F_k}), a term dropped
     when w x_{F_k} is in I.  Each basis is built and each d_i ranked at
     most once, and only for a row with B_i nonempty: an empty B_i is 0
-    and builds no neighbour."""
-    basis = cache(lambda i: _koszul_basis(I, i, j, caps))
+    and builds no neighbour.  levels is as in _koszul_basis."""
+    basis = cache(lambda i: _koszul_basis(I, i, j, caps, levels))
 
     @cache
     def rank(i):
@@ -298,7 +298,8 @@ def koszul_betti(I: MonomialIdeal, i: int, j: int,
         raise DomainError("Betti indices must be nonnegative")
     if I.is_unit:
         raise DomainError("koszul_betti requires a proper ideal")
-    return _koszul_strand(I, j, caps or default_caps(), (i,)).get(i, 0)
+    return _koszul_strand(I, j, caps or default_caps(), (i,),
+                          [[((0,) * I.n, 0)]]).get(i, 0)
 
 
 def koszul_betti_table(I: MonomialIdeal,
@@ -312,9 +313,9 @@ def koszul_betti_table(I: MonomialIdeal,
     if I.is_zero or I.is_unit:
         raise DomainError("Betti table needs a proper nonzero ideal")
     caps = caps or default_caps()
-    entries = {}
+    entries, levels = {}, [[((0,) * I.n, 0)]]
     for j in range(1, sum(map(max, zip(*I.gens))) + 1):
-        strand = _koszul_strand(I, j, caps, range(1, min(I.n, j) + 1))
+        strand = _koszul_strand(I, j, caps, range(1, min(I.n, j) + 1), levels)
         entries.update(((i, j), b) for i, b in strand.items())
     return BettiTable(entries, engine="koszul")
 
@@ -403,8 +404,7 @@ def has_linear_resolution(I: MonomialIdeal,
     return regularity(I, caps=caps) == I.alpha
 
 
-@dataclass(frozen=True)
-class DifferentialLinearReport:
+class DifferentialLinearReport(NamedTuple):
     holds: bool
     # (ell, regularity, ok, grad^ell(I))
     levels: Tuple[Tuple[int, int, bool, MonomialIdeal], ...]

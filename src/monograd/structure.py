@@ -13,11 +13,10 @@ backtracking search.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import reduce
 from itertools import compress, count
 from operator import and_, getitem
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, NamedTuple, Optional, Tuple, Union
 
 from .caps import Caps, default_caps
 from .errors import DomainError, ResourceCapError
@@ -47,8 +46,7 @@ UNDECIDED = _Undecided()
 # ---------------------------------------------------------------------------
 # linear quotients
 
-@dataclass(frozen=True)
-class QuotientOrder:
+class QuotientOrder(NamedTuple):
     order: Tuple[tuple, ...]  # permutation of the generators, by degree
     # r_k, the number of variables generating (u_1..u_{k-1}) : u_k
     colon_sizes: Tuple[int, ...]

@@ -9,10 +9,8 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
 from itertools import combinations, permutations
-from math import comb
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from .errors import DomainError
 from .gradient import gradient, gradient_chain
@@ -38,21 +36,20 @@ from .verify_ids import VERIFY_IDS
 DEFAULT_SAMPLES = 200
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     description: str
     expected: object
     computed: object
     passed: bool
 
 
-@dataclass
 class Report:
-    theorem_id: str
-    parameters: Dict[str, object]
-    checks: List[Check] = field(default_factory=list)
-    engine_notes: List[str] = field(default_factory=list)
-    seed: Optional[int] = None
+    def __init__(self, theorem_id: str, parameters: Dict[str, object],
+                 seed: Optional[int] = None):
+        self.theorem_id = theorem_id
+        self.parameters = parameters
+        self.seed = seed
+        self.checks, self.engine_notes = [], []
 
     @property
     def passed(self) -> bool:
@@ -250,8 +247,7 @@ def _suite_thm22(rep: Report, params: dict, rng: random.Random) -> None:
 
 # witness cycle for the overlapping-window family of Theorem 2.3
 
-@dataclass(frozen=True)
-class CycleCertificate:
+class CycleCertificate(NamedTuple):
     d: int
     no_top_faces: bool
     all_pairs_are_faces: bool

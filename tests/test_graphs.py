@@ -24,8 +24,22 @@ def test_graph_validation():
         SimpleGraph(3, [(1, 1)])
     with pytest.raises(DomainError):
         SimpleGraph(3, [(1, 4)])
-    G = SimpleGraph(3, [(2, 1), (1, 2)])
-    assert G.edge_pairs() == [(1, 2)]
+    with pytest.raises(DomainError):
+        SimpleGraph(3, [(0, 1)])
+    G = SimpleGraph(3, [(2, 1), (1, 2), [3, 2]])
+    assert G.edge_pairs() == [(1, 2), (2, 3)]
+    assert (G.n, G.edges) == (3, frozenset({frozenset({1, 2}),
+                                             frozenset({2, 3})}))
+
+
+def test_graph_is_an_immutable_value():
+    G, H = SimpleGraph(3, [(1, 2), (2, 3)]), SimpleGraph(3, [(3, 2), (2, 1)])
+    assert G == H and hash(G) == hash(H) and len({G, H}) == 1
+    assert G != SimpleGraph(4, [(1, 2), (2, 3)])
+    for name in ("n", "edges", "label"):
+        with pytest.raises(AttributeError):
+            setattr(G, name, 0)
+    assert G == SimpleGraph(3, [(1, 2), (2, 3)])
 
 
 def test_edge_ideals():

@@ -1,8 +1,8 @@
 """Static checks on the runtime package's source: it imports nothing
-outside the standard library, every private function has a caller, no
-function recurses outside an allowlist, no assert statement stands in
-for a check, importing the package loads only the monomial core, and each
-CLI command loads only the engines it runs."""
+outside the standard library and no dataclasses, every private function
+has a caller, no function recurses outside an allowlist, no assert
+statement stands in for a check, importing the package loads only the
+monomial core, and each CLI command loads only the engines it runs."""
 
 import ast
 import os
@@ -14,16 +14,21 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "monograd"
 ALLOWED = set(sys.stdlib_module_names) | {"monograd"}
 
 
-def _foreign_imports(source: str):
-    """Top-level names of absolute imports that are neither standard
-    library modules nor monograd itself."""
+def _absolute_imports(source: str):
+    """Top-level names of the absolute imports anywhere in source."""
     names = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             names += [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and not node.level:
             names.append(node.module)
-    return sorted({name.split(".")[0] for name in names} - ALLOWED)
+    return {name.split(".")[0] for name in names}
+
+
+def _foreign_imports(source: str):
+    """Top-level names of absolute imports that are neither standard
+    library modules nor monograd itself."""
+    return sorted(_absolute_imports(source) - ALLOWED)
 
 
 def test_foreign_import_detection():
@@ -40,6 +45,15 @@ def test_runtime_imports_only_the_standard_library():
     assert len(files) > 10
     foreign = {f.name: _foreign_imports(f.read_text()) for f in files}
     assert not {name: mods for name, mods in foreign.items() if mods}
+
+
+def test_runtime_imports_no_dataclasses():
+    # dataclasses loads inspect, ast, dis and tokenize into every process
+    # that imports it; the package's records are NamedTuples instead
+    assert "dataclasses" in _absolute_imports(
+        "def f():\n    from dataclasses import dataclass\n")
+    assert [f.name for f in sorted(SRC.glob("*.py"))
+            if "dataclasses" in _absolute_imports(f.read_text())] == []
 
 
 def _unreferenced_private_functions(sources):
@@ -279,16 +293,22 @@ def test_import_footprint_in_a_fresh_interpreter():
     assert out.split() == sorted(STAR_NAMES.split())
 
 
-def _loaded_after(argv):
-    """The monograd submodules loaded after run_cli(argv) in a fresh
-    interpreter, the package itself left out."""
+def _added_by(argv):
+    """The modules that importing the CLI and run_cli(argv) add to
+    sys.modules in a fresh interpreter."""
     out = _python("import contextlib, io, sys\n"
+                  "before = set(sys.modules)\n"
                   "from monograd.cli import run_cli\n"
                   "with contextlib.redirect_stdout(io.StringIO()):\n"
                   f"    run_cli({argv!r})\n"
-                  "print(' '.join(sorted(k[9:] for k in sys.modules "
-                  "if k.startswith('monograd.'))))\n")
+                  "print(' '.join(sorted(set(sys.modules) - before)))\n")
     return set(out.split())
+
+
+def _loaded_after(argv):
+    """The monograd submodules loaded after run_cli(argv) in a fresh
+    interpreter, the package itself left out."""
+    return {k[9:] for k in _added_by(argv) if k.startswith("monograd.")}
 
 
 def test_each_cli_command_loads_only_its_engines(tmp_path):
@@ -305,7 +325,11 @@ def test_each_cli_command_loads_only_its_engines(tmp_path):
     assert _loaded_after(["kk", "rep", "--a", "10", "--d", "3"]) == \
         EAGER | {"cli", "verify_ids", "kruskal"}
     everything = {f.stem for f in SRC.glob("*.py")} - {"__init__", "__main__"}
-    assert _loaded_after(["verify", "kk-remark", "--seed", "0"]) == everything
+    added = _added_by(["verify", "kk-remark", "--seed", "0"])
+    assert {k[9:] for k in added if k.startswith("monograd.")} == everything
+    # every engine loaded, and none of them brings in dataclasses or the
+    # inspect module it imports
+    assert not {"dataclasses", "inspect"} & added
 
 
 STAR_NAMES = """

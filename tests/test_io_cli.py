@@ -14,7 +14,8 @@ import monograd
 from monograd import cli, verify
 from monograd.caps import Caps, default_caps
 from monograd.cli import run_cli
-from monograd.errors import DomainError, ExponentOverflowError
+from monograd.errors import (CapsFormatError, DomainError,
+                             ExponentOverflowError)
 from monograd.gradient import gradient
 from monograd.ioformats import (ideal_to_json, parse_generators,
                                 parse_graph, parse_ideal,
@@ -306,6 +307,17 @@ def test_default_caps_share_one_instance_and_read_the_variable(monkeypatch):
     assert default_caps() == Caps()
 
 
+def test_caps_setting_overrides_the_defaults_it_names(monkeypatch):
+    monkeypatch.setenv("MONOGRAD_CAPS", " lq-generators=7 , nonface-unions=0,")
+    caps = default_caps()
+    assert caps == Caps(lq_generators=7, nonface_unions=0)
+    assert caps.component_enum == Caps().component_enum == 10**6
+    for setting in ("lq_generators=7", "lq-generators=7,depth=2"):
+        monkeypatch.setenv("MONOGRAD_CAPS", setting)
+        with pytest.raises(CapsFormatError, match="unknown MONOGRAD_CAPS key"):
+            default_caps()
+
+
 def test_cli_zero_caps_are_valid(ideal_file, monkeypatch, capsys):
     # 0 is a cap, not a malformed setting: the certificate and the walk
     # step aside and reg answers by Koszul, while a search that needs
@@ -401,25 +413,36 @@ def test_cli_overlap_family_size_is_capped(monkeypatch, capsys):
         assert "component-enum" in err[0] and captured.out == ""
 
 
-def test_python_dash_m_runs_the_cli(ideal_file, tmp_path):
+def _python_dash_m(*argv):
+    """`python -m monograd argv` in a fresh interpreter, default caps."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     env.pop("MONOGRAD_CAPS", None)
+    return subprocess.run([sys.executable, "-m", "monograd", *argv],
+                          env=env, capture_output=True, text=True, timeout=60)
 
-    def monograd(*argv):
-        return subprocess.run([sys.executable, "-m", "monograd", *argv],
-                              env=env, capture_output=True, text=True,
-                              timeout=60)
 
-    good = monograd("reg", ideal_file({"n": 3, "gens": ["x1*x2", "x2*x3"]}))
+def test_python_dash_m_runs_the_cli(ideal_file, tmp_path):
+    good = _python_dash_m("reg", ideal_file({"n": 3,
+                                             "gens": ["x1*x2", "x2*x3"]}))
     assert (good.returncode, good.stdout, good.stderr) == (0, "2\n", "")
     bad_path = tmp_path / "broken.json"
     bad_path.write_text("{not json")
-    bad = monograd("reg", str(bad_path))
+    bad = _python_dash_m("reg", str(bad_path))
     assert bad.returncode == 2 and bad.stdout == ""
     err = bad.stderr.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_cli_prints_each_warning_as_one_line(tmp_path):
+    graph = tmp_path / "edgeless.json"
+    graph.write_text('{"n": 3, "edges": []}')
+    for kind, message in (("edge", "edge ideal is the zero ideal"),
+                          ("cedge", "complementary edge ideal is zero")):
+        done = _python_dash_m("graph", kind, str(graph))
+        assert (done.returncode, done.stdout, done.stderr) == (
+            0, '{"n": 3, "gens": []}\n', f"warning: edgeless graph: {message}\n")
 
 
 @pytest.mark.parametrize("n, d, total", [(8, 3, 7423), (7, 4, 7937)])

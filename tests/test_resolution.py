@@ -11,14 +11,15 @@ from monograd.graphs import family_overlap_run, family_reg_gap
 from monograd.monomials import (MonomialIdeal, monomials_of_degree, variable,
                                 veronese_type)
 import monograd.resolution as resolution
-from monograd.resolution import (betti_table,
+from monograd.resolution import (DifferentialLinearReport, betti_table,
                                  has_differential_linear_resolution,
                                  has_linear_resolution, hochster_betti,
                                  koszul_betti, koszul_betti_table, polarize,
                                  regularity)
 from monograd.structure import UNDECIDED, linear_quotients_order
-from monograd.verify import (cycle_certificate, random_ideal,
-                             random_stable_ideal, random_veronese_type)
+from monograd.verify import (CycleCertificate, cycle_certificate,
+                             random_ideal, random_stable_ideal,
+                             random_veronese_type)
 
 
 def I(n, *strs):
@@ -474,12 +475,13 @@ def test_regularity_walk_decides_no_element_of_degree_at_most_omega_plus_1(
 
 def test_koszul_table_builds_each_basis_and_ranks_each_differential_once(
         monkeypatch):
-    built, ranked = Counter(), []
+    built, ranked, level_lists = Counter(), [], set()
     basis, rank = resolution._koszul_basis, resolution.sparse_rank
 
-    def spy_basis(J, i, j, caps):
+    def spy_basis(J, i, j, caps, levels):
         built[i, j] += 1
-        return basis(J, i, j, caps)
+        level_lists.add(id(levels))
+        return basis(J, i, j, caps, levels)
 
     def spy_rank(columns):
         ranked.append(len(columns))
@@ -491,7 +493,10 @@ def test_koszul_table_builds_each_basis_and_ranks_each_differential_once(
               I(3, "x1^2", "x2^3", "x1*x3"), MonomialIdeal.maximal(3) ** 2):
         built.clear()
         ranked.clear()
+        level_lists.clear()
         koszul_betti_table(J)
+        # every strand grows its standard monomials on the table's one list
+        assert len(level_lists) == 1, J
         # B_i in degree j is nonempty iff 0 <= i <= n and some monomial of
         # degree j - i lies outside J
         top = sum(map(max, zip(*J.gens)))
@@ -512,7 +517,7 @@ def test_koszul_betti_builds_no_neighbour_of_an_empty_basis():
     # and beta_{1,10} is 0 without B_2, which is past the cap
     assert koszul_betti(m, 1, 10, caps=Caps()) == 0
     with pytest.raises(ResourceCapError) as err:
-        resolution._koszul_basis(m, 2, 10, Caps())
+        resolution._koszul_basis(m, 2, 10, Caps(), [[((0,) * 10, 0)]])
     assert err.value.needed == 45 * 24310  # C(10, 2) * C(17, 8)
 
 
@@ -610,6 +615,9 @@ def test_differential_linear_resolution_report():
     assert [lvl[0] for lvl in rep.levels] == [0, 1, 2]
     rep2 = has_differential_linear_resolution(I(4, "x1*x2", "x3*x4"))
     assert not rep2
+    # truth follows holds, not the record's length
+    assert not DifferentialLinearReport(False, ())
+    assert DifferentialLinearReport(True, ())
 
 
 def test_differential_linear_resolution_memo_shares_levels(monkeypatch):
@@ -650,6 +658,11 @@ def test_cycle_certificate():
         assert cert.chain_support_size == (d - 1) ** 2
     with pytest.raises(DomainError):
         cycle_certificate(2)
+    # truth follows passed, which needs all three parts of the witness
+    for parts in ((True, True, False), (True, False, True),
+                  (False, True, True)):
+        assert not CycleCertificate(3, *parts, 4)
+    assert CycleCertificate(3, True, True, True, 4)
 
 
 def test_regularity_monotone_under_variable_colon():

@@ -18,9 +18,9 @@ byte-identical exit codes, stdout and stderr.  The inputs are
 A second hash covers every other command, each in text and in JSON, on
 the fixed ideals and graphs of `IDEALS` and `GRAPHS` below: `stats` with
 and without `--no-minimalize`, `grad --order 2`, `check` with every
-property, `family thm22/thm23`, `graph edge/cedge` and `kk
-rep/shadow/closed`, and three exit-2 paths: an unknown verify id, a
-missing file and a malformed `MONOGRAD_CAPS`.
+property, `family thm22/thm23`, `graph edge/cedge` (an edgeless graph
+among the inputs) and `kk rep/shadow/closed`, and three exit-2 paths: an
+unknown verify id, a missing file and a malformed `MONOGRAD_CAPS`.
 
 Each command enters its hash with a label naming it, its seed and query
 (not the temporary file path), its exit code, stdout and stderr.  The
@@ -63,6 +63,7 @@ GRAPHS = {
     "co-chordal": {"n": 7, "edges": [
         [int(e[0]), int(e[1])] for e in "12 13 15 17 23 24 25 26 27 34 35 "
         "36 37 46 56 67".split()]},
+    "edgeless": {"n": 3, "edges": []},  # exit 0 with a one-line warning
 }
 CHECKS = ("linear-resolution", "differential-linear-resolution",
           "linear-quotients", "vertex-splittable", "polymatroidal",
