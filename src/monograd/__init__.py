@@ -22,23 +22,20 @@ from .errors import (CapsFormatError, DimensionMismatchError, DomainError,
                      ExponentOverflowError, MonogradError, ResourceCapError)
 from .gradient import (gradient, gradient_chain, gradient_via_colon,
                        iterated_gradient)
-from .monomials import (GeneratorStats, MonomialIdeal, deg,
-                        is_complete_intersection, minimalize, monomial_str,
-                        supp, veronese_type)
+from .monomials import (GeneratorStats, MonomialIdeal,
+                        is_complete_intersection, monomial_str, supp,
+                        veronese_type)
 
 # the public names each other submodule defines, loaded on first access
 _ENGINES = {
-    "complexes": ("SimplicialComplex", "stanley_reisner_complex",
-                  "stanley_reisner_ideal"),
+    "complexes": ("SimplicialComplex", "stanley_reisner_complex"),
     "exact_rank": (),
     "graphs": ("QuadraticDecomposition", "RegGapFamily", "SimpleGraph",
                "complementary_edge_ideal", "edge_ideal", "family_overlap_run",
-               "family_reg_gap", "gradient_power_closed_form",
-               "gradient_power_closed_forms", "is_connected", "peel_order",
-               "quadratic_decomposition", "underlying_graph"),
+               "family_reg_gap", "gradient_power_closed_forms",
+               "is_connected", "underlying_graph"),
     "ioformats": ("ideal_to_json", "parse_generators", "parse_graph",
-                  "parse_ideal", "parse_monomial_string", "serialize_graph",
-                  "serialize_ideal"),
+                  "parse_ideal", "parse_monomial_string", "serialize_ideal"),
     "kruskal": ("MacaulayRep", "closed_form_count", "closed_form_shadow",
                 "colex_shadow_oracle", "macaulay_rep",
                 "many_generators_threshold", "shadow_bound"),

@@ -200,8 +200,14 @@ def _cmd_graph(args, as_json: bool) -> int:
     from .ioformats import parse_graph, serialize_ideal
     with open(args.file) as fh:
         G = parse_graph(json.load(fh))
-    I = edge_ideal(G) if args.kind == "edge" else complementary_edge_ideal(G)
+    # the only command that can warn (on an edgeless graph)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")  # warn on every call, not once
+        I = (edge_ideal(G) if args.kind == "edge"
+             else complementary_edge_ideal(G))
     print(json.dumps(serialize_ideal(I), sort_keys=as_json))
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
     return 0
 
 
@@ -271,16 +277,11 @@ def run_cli(argv: Optional[List[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")  # warn on every call, not once
-        try:
-            return _COMMANDS[args.command](args, getattr(args, "json", False))
-        except (MonogradError, OSError, json.JSONDecodeError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        finally:
-            for w in caught:
-                print(f"warning: {w.message}", file=sys.stderr)
+    try:
+        return _COMMANDS[args.command](args, getattr(args, "json", False))
+    except (MonogradError, OSError, json.JSONDecodeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def main() -> None:

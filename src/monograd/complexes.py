@@ -80,10 +80,6 @@ class SimplicialComplex:
     def minimal_nonfaces(self) -> FrozenSet[FrozenSet[int]]:
         return frozenset(_from_mask(m) for m in self.nonface_masks)
 
-    def is_face(self, vertices: Iterable[int]) -> bool:
-        w = _to_mask(vertices)
-        return not w >> self.n and self._is_face_mask(w)
-
     def _is_face_mask(self, w: int) -> bool:
         if self.void:
             return False
@@ -158,15 +154,6 @@ class SimplicialComplex:
             rank_above = rank
         return dict(reversed(out.items()))
 
-    def top_nonzero_homology(self, within: Optional[int] = None,
-                             stop_below: int = -1) -> Optional[int]:
-        """Largest s with nonzero reduced homology, read off the profile.
-
-        Dimensions <= stop_below do not count (returns None if nothing
-        above them is nonzero); any stop_below under -1 counts them all."""
-        above = [s for s in self.homology_profile(within) if s > stop_below]
-        return max(above, default=None)
-
 
 def _boundary_columns(faces: Dict[int, List[int]], card: int,
                       cleared=()) -> List[Dict[int, int]]:
@@ -214,12 +201,3 @@ def stanley_reisner_complex(I: MonomialIdeal) -> SimplicialComplex:
                 f"stanley_reisner requires a squarefree ideal; offender: {u}"
             )
     return SimplicialComplex(I.n, [sorted(supp(u)) for u in I.gens])
-
-
-def stanley_reisner_ideal(delta: SimplicialComplex) -> MonomialIdeal:
-    """Inverse map: squarefree ideal generated on the minimal nonfaces."""
-    if delta.void:
-        return MonomialIdeal.unit(delta.n)
-    return MonomialIdeal(delta.n, [
-        tuple(int(v in f) for v in range(1, delta.n + 1))
-        for f in delta.minimal_nonfaces])

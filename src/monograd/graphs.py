@@ -1,7 +1,7 @@
 """Graph-backed ideal constructions and parameterized ideal families.
 
-Covers edge ideals, complementary edge ideals, connectivity and peel
-orders, the x_v*P + J decomposition of quadratic squarefree ideals, the
+Covers edge ideals, complementary edge ideals, connectivity, the
+x_v*P + J decomposition of quadratic squarefree ideals, the
 closed-form iterated gradients of powers, and two explicit families
 realizing prescribed regularity gaps.
 
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import warnings
 from operator import add
-from typing import FrozenSet, List, NamedTuple, Optional, Tuple
+from typing import FrozenSet, List, NamedTuple, Tuple
 
 from .caps import default_caps
 from .errors import DomainError, ResourceCapError
@@ -91,26 +91,6 @@ def is_connected(G: SimpleGraph) -> bool:
     return _connected_on(list(range(1, G.n + 1)), G.edges)
 
 
-def peel_order(G: SimpleGraph) -> List[int]:
-    """Vertices in removal order such that every remaining graph stays
-    connected; picks the largest-labeled non-cut vertex each step."""
-    if not is_connected(G):
-        raise DomainError("peel order requires a connected graph")
-    remaining = list(range(1, G.n + 1))
-    edges = set(G.edges)
-    order = []
-    while len(remaining) > 1:
-        # a connected graph always has a non-cut vertex
-        chosen = next(v for v in sorted(remaining, reverse=True)
-                      if _connected_on([w for w in remaining if w != v],
-                                       [e for e in edges if v not in e]))
-        order.append(chosen)
-        remaining.remove(chosen)
-        edges = {e for e in edges if chosen not in e}
-    order.extend(remaining)
-    return order
-
-
 def _connected_on(vertices: List[int], edges) -> bool:
     if not vertices:
         return True
@@ -140,10 +120,6 @@ class QuadraticDecomposition(NamedTuple):
     P: MonomialIdeal
     J: MonomialIdeal
 
-    def reconstruct(self, n: int) -> MonomialIdeal:
-        xv = MonomialIdeal(n, (variable(n, self.v),))
-        return xv * self.P + self.J
-
 
 def underlying_graph(I: MonomialIdeal) -> SimpleGraph:
     """The graph whose edges are the generator supports (quadratic
@@ -151,12 +127,6 @@ def underlying_graph(I: MonomialIdeal) -> SimpleGraph:
     if I.is_zero or not I.is_equigenerated or I.alpha != 2 or not I.is_squarefree:
         raise DomainError("need a squarefree ideal equigenerated in degree 2")
     return SimpleGraph(I.n, [tuple(sorted(supp(u))) for u in I.gens])
-
-
-def quadratic_decomposition(I: MonomialIdeal) -> Optional[QuadraticDecomposition]:
-    """The first of quadratic_decompositions(I), in descending v, or None
-    when no vertex qualifies (possible without linear resolution)."""
-    return next(quadratic_decompositions(I), None)
 
 
 def quadratic_decompositions(I: MonomialIdeal):
@@ -167,7 +137,7 @@ def quadratic_decompositions(I: MonomialIdeal):
     """
     G = underlying_graph(I)
     if I.support != frozenset(range(1, I.n + 1)):
-        raise DomainError("decomposition requires full support; compress first")
+        raise DomainError("decomposition needs every variable in the support")
     for v in range(I.n, 0, -1):
         nbrs = G.neighbors(v)  # not empty, as I has full support
         rest_edges = [e for e in G.edge_pairs() if v not in e]
@@ -222,17 +192,6 @@ def gradient_power_closed_forms(dec: QuadraticDecomposition, n: int,
         forms.append(_equigenerated(n, 2 * k - ell, masks))
     forms += [_equigenerated(n, p, M[p]) for p in range(k, -1, -1)]
     return tuple(forms)
-
-
-def gradient_power_closed_form(dec: QuadraticDecomposition, n: int,
-                               k: int, ell: int) -> MonomialIdeal:
-    """The closed form of the ell-th gradient of the k-th power of
-    I = x_v*P + J (see gradient_power_closed_forms)."""
-    if k < 1:
-        raise DomainError("k must be >= 1")
-    if not 0 <= ell <= 2 * k:
-        raise DomainError(f"ell={ell} out of range 0..{2*k}")
-    return gradient_power_closed_forms(dec, n, k)[ell]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""JSON serialization for ideals and graphs.
+"""JSON documents for ideals (read and written) and graphs (read).
 
 Ideal documents: {"n": int, "gens": [...]} where each generator is either
 an exponent list of length n or a string like "x1^2*x3" (1-based, '^' for
@@ -111,7 +111,3 @@ def parse_graph(doc: Union[str, dict]) -> SimpleGraph:
             raise DomainError(f"edge {e!r} is not a pair of vertices")
         edges.append(tuple(e))
     return SimpleGraph(n, edges)
-
-
-def serialize_graph(G: SimpleGraph) -> dict:
-    return {"n": G.n, "edges": [list(e) for e in G.edge_pairs()]}

@@ -29,7 +29,7 @@ import warnings
 from bisect import bisect_left, bisect_right
 from functools import reduce
 from itertools import combinations, compress, count, repeat
-from operator import add, and_, getitem, itemgetter, le, neg, or_
+from operator import add, and_, getitem, itemgetter, le, or_
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .caps import Caps, default_caps
@@ -44,17 +44,9 @@ EXPONENT_BOUND = 2**31 - 1
 # ---------------------------------------------------------------------------
 # monomial helpers
 
-def deg(u: Monomial) -> int:
-    return sum(u)
-
-
 def supp(u: Monomial) -> frozenset:
     """Support of u: 1-based indices of variables dividing u."""
     return frozenset(i + 1 for i, e in enumerate(u) if e > 0)
-
-
-def unit_monomial(n: int) -> Monomial:
-    return (0,) * n
 
 
 def variable(n: int, i: int) -> Monomial:
@@ -92,11 +84,6 @@ def monomial_str(u: Monomial) -> str:
         elif e > 1:
             parts.append(f"x{i}^{e}")
     return "*".join(parts) if parts else "1"
-
-
-def canonical_key(u: Monomial):
-    # degree ascending, then lexicographically descending exponent vectors
-    return (sum(u), tuple(map(neg, u)))
 
 
 def monomials_of_degree(n: int, d: int):
@@ -333,7 +320,7 @@ class MonomialIdeal:
 
     @classmethod
     def unit(cls, n: int) -> "MonomialIdeal":
-        return cls._trusted(_check_ambient(n), {unit_monomial(n): (0, 0)},
+        return cls._trusted(_check_ambient(n), {(0,) * n: (0, 0)},
                             minimal=True)
 
     @classmethod
@@ -343,12 +330,6 @@ class MonomialIdeal:
             variable(n, i): (1, 1 << (i - 1)) for i in range(1, n + 1)},
             minimal=True)
 
-    @classmethod
-    def from_strings(cls, n: int, gens: Iterable[str]) -> "MonomialIdeal":
-        from .ioformats import parse_monomial_string
-
-        return cls(n, (parse_monomial_string(s, n) for s in gens))
-
     # -- basic queries -------------------------------------------------
     @property
     def is_zero(self) -> bool:
@@ -357,10 +338,6 @@ class MonomialIdeal:
     @property
     def is_unit(self) -> bool:
         return self._degs == (0,)
-
-    @property
-    def is_proper(self) -> bool:
-        return not self.is_unit
 
     @property
     def is_squarefree(self) -> bool:
@@ -541,29 +518,9 @@ class MonomialIdeal:
                 entries[mul(u, w)] = j, m | mw
         return MonomialIdeal._trusted(self.n, entries)
 
-    # -- restriction / relabeling ---------------------------------------
-    def compress(self):
-        """Drop unused variables; returns (ideal, sorted original indices)."""
-        used = sorted(self.support)
-        idx = [i - 1 for i in used]
-        gens = [tuple(u[i] for i in idx) for u in self.gens]
-        # dropping variables no generator uses keeps divisibility, degrees
-        # and the lexicographic order, so gens stays minimal and canonical
-        entries = {u: (d, _support_mask(u)) for u, d in zip(gens, self._degs)}
-        return MonomialIdeal._trusted(len(used), entries, minimal=True), used
-
 
 # ---------------------------------------------------------------------------
 # module-level constructors and predicates
-
-def minimalize(gens: Iterable, n: Optional[int] = None) -> MonomialIdeal:
-    gens = [tuple(u) for u in gens]
-    if n is None:
-        if not gens:
-            raise DomainError("cannot infer ambient size from an empty set")
-        n = len(gens[0])
-    return MonomialIdeal(n, gens)
-
 
 def veronese_type(n: int, a: Sequence[int], d: int) -> MonomialIdeal:
     """Veronese-type ideal: all degree-d monomials with exponents <= a."""

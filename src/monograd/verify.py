@@ -194,7 +194,7 @@ def _two_linear_screen(n_max: int, by_class: bool):
     for mask in range(1, 1 << len(slots)):
         edges = [slots[i] for i in range(len(slots)) if mask >> i & 1]
         # compress the graph before building its ideal: renumber the
-        # vertices in use from 1 in order, as MonomialIdeal.compress does
+        # vertices in use from 1 in order
         used = sorted({v for e in edges for v in e})
         rank = {v: k for k, v in enumerate(used, 1)}
         edges = [(rank[a], rank[b]) for a, b in edges]

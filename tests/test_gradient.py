@@ -6,12 +6,13 @@ import pytest
 from monograd.errors import DomainError
 from monograd.gradient import (gradient, gradient_chain, gradient_via_colon,
                                iterated_gradient)
+from monograd.ioformats import parse_ideal
 from monograd.monomials import MonomialIdeal
 from monograd.verify import random_ideal
 
 
 def I(n, *strs):
-    return MonomialIdeal.from_strings(n, list(strs))
+    return parse_ideal({"n": n, "gens": list(strs)})
 
 
 def test_gradient_examples():

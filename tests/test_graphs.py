@@ -7,16 +7,20 @@ from monograd.gradient import gradient, gradient_chain
 from monograd.graphs import (QuadraticDecomposition, SimpleGraph,
                              complementary_edge_ideal, edge_ideal,
                              family_overlap_run, family_reg_gap,
-                             gradient_power_closed_form,
                              gradient_power_closed_forms, is_connected,
-                             peel_order, quadratic_decomposition,
                              quadratic_decompositions, underlying_graph)
+from monograd.ioformats import parse_ideal
 from monograd.monomials import MonomialIdeal, variable
 from monograd.verify import two_linear_edge_ideals
 
 
 def I(n, *strs):
-    return MonomialIdeal.from_strings(n, list(strs))
+    return parse_ideal({"n": n, "gens": list(strs)})
+
+
+def _reconstruct(dec, n):
+    """x_v * P + J, the ideal a decomposition splits."""
+    return MonomialIdeal(n, [variable(n, dec.v)]) * dec.P + dec.J
 
 
 def test_graph_validation():
@@ -60,34 +64,28 @@ def test_underlying_graph_round_trip():
         underlying_graph(I(2, "x1^2"))
 
 
-def test_connectivity_and_peel():
+def test_connectivity():
     path = SimpleGraph(4, [(1, 2), (2, 3), (3, 4)])
     assert is_connected(path)
     assert not is_connected(SimpleGraph(4, [(1, 2), (3, 4)]))
     # isolated vertices disconnect
     assert not is_connected(SimpleGraph(3, [(1, 2)]))
-    order = peel_order(path)
-    assert sorted(order) == [1, 2, 3, 4]
-    # each prefix removal keeps the remainder connected
-    assert order[0] == 4  # largest non-cut vertex first
-    with pytest.raises(DomainError):
-        peel_order(SimpleGraph(4, [(1, 2), (3, 4)]))
 
 
 def test_quadratic_decomposition():
     path = I(3, "x1*x2", "x2*x3")
-    dec = quadratic_decomposition(path)
+    dec = next(quadratic_decompositions(path), None)
     assert dec is not None and dec.v == 3
     assert dec.P == I(3, "x2") and dec.J == I(3, "x1*x2")
-    assert dec.reconstruct(3) == path
-    assert quadratic_decomposition(I(4, "x1*x2", "x3*x4")) is None
+    assert _reconstruct(dec, 3) == path
+    assert not list(quadratic_decompositions(I(4, "x1*x2", "x3*x4")))
 
 
 def test_quadratic_decompositions_are_the_valid_vertices_descending():
     # on every graph with at most 5 vertices and none isolated: the splits
     # are those at the v whose J (the edges off v) lies in P (the variables
     # next to v), in descending v, as the validating constructor builds
-    # them; quadratic_decomposition is the first of them
+    # them, and each sums back to the edge ideal
     splits = valid = stars = 0
     for n in range(2, 6):
         slots = list(combinations(range(1, n + 1), 2))
@@ -108,8 +106,7 @@ def test_quadratic_decompositions_are_the_valid_vertices_descending():
             decs = list(quadratic_decompositions(E))
             assert [(d.v, d.P.gens, d.J.gens) for d in decs] == expected
             assert all(_same(d.J, MonomialIdeal(n, d.J.gens)) for d in decs)
-            assert all(d.reconstruct(n) == E for d in decs)
-            assert quadratic_decomposition(E) == (decs[0] if decs else None)
+            assert all(_reconstruct(d, n) == E for d in decs)
             splits += len(decs)
             valid += bool(decs)
             stars += sum(d.J.is_zero for d in decs)  # J = 0: v meets all
@@ -120,15 +117,15 @@ def test_quadratic_decompositions_are_the_valid_vertices_descending():
 
 def test_closed_form_matches_direct_gradient():
     tri = I(3, "x1*x2", "x1*x3", "x2*x3")
-    dec = quadratic_decomposition(tri)
+    dec = next(quadratic_decompositions(tri))
     for k in (1, 2):
         Ik = tri ** k
+        forms = gradient_power_closed_forms(dec, 3, k)
+        assert len(forms) == 2 * k + 1
         for ell, direct in enumerate(gradient_chain(Ik, 2 * k)):
-            assert gradient_power_closed_form(dec, 3, k, ell) == direct
+            assert forms[ell] == direct
     m = MonomialIdeal.maximal(3)
-    assert gradient_power_closed_form(dec, 3, 2, 3) == m
-    with pytest.raises(DomainError):
-        gradient_power_closed_form(dec, 3, 1, 3)
+    assert gradient_power_closed_forms(dec, 3, 2)[3] == m
 
 
 def _closed_form_oracle(dec, n, k, ell):
@@ -161,7 +158,7 @@ def test_closed_forms_match_ideal_arithmetic():
     # the oracle, stored degrees and support masks included
     decs = 0
     for J in two_linear_edge_ideals(5):
-        dec = quadratic_decomposition(J)
+        dec = next(quadratic_decompositions(J))
         decs += 1
         for k in (1, 2, 3):
             forms = gradient_power_closed_forms(dec, J.n, k)
@@ -169,7 +166,6 @@ def test_closed_forms_match_ideal_arithmetic():
             for ell, form in enumerate(forms):
                 assert _same(form, _closed_form_oracle(dec, J.n, k, ell)), \
                     (J, k, ell)
-        assert gradient_power_closed_form(dec, J.n, 3, 2) == forms[2]
     assert decs > 600
     with pytest.raises(DomainError):
         gradient_power_closed_forms(dec, J.n, 0)
@@ -213,7 +209,7 @@ def test_library_built_ideals_match_the_validating_constructor():
                 for e in edges]))
             if E.support != frozenset(range(1, n + 1)):
                 continue
-            dec = quadratic_decomposition(E)
+            dec = next(quadratic_decompositions(E), None)
             if dec is None:
                 continue
             decs += 1

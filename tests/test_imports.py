@@ -1,8 +1,9 @@
 """Static checks on the runtime package's source: it imports nothing
-outside the standard library and no dataclasses, every private function
-has a caller, no function recurses outside an allowlist, no assert
-statement stands in for a check, importing the package loads only the
-monomial core, and each CLI command loads only the engines it runs."""
+outside the standard library and no dataclasses, every import is used,
+every private function has a caller, every public function and class has
+one outside an allowlist, no function recurses outside an allowlist, no
+assert statement stands in for a check, importing the package loads only
+the monomial core, and each CLI command loads only the engines it runs."""
 
 import ast
 import os
@@ -56,6 +57,46 @@ def test_runtime_imports_no_dataclasses():
             if "dataclasses" in _absolute_imports(f.read_text())] == []
 
 
+def _unused_imports(source: str, reexports: bool = False):
+    """The names that the imports in source bind (anywhere in it, the
+    __future__ ones left out) and that no name in source reads; with
+    reexports set, the relative imports, which a package's __init__ makes
+    to re-export, are left out too."""
+    tree = ast.parse(source)
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update((a.asname or a.name).split(".")[0]
+                         for a in node.names)
+        elif (isinstance(node, ast.ImportFrom)
+              and node.module != "__future__"
+              and not (reexports and node.level)):
+            bound.update(a.asname or a.name for a in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(bound - read)
+
+
+def test_unused_import_detection():
+    assert _unused_imports("from __future__ import annotations\n"
+                           "import os.path, re\n"
+                           "from operator import add, neg as minus\n"
+                           "from typing import Optional\n"
+                           "def f(x: Optional[int]):\n"
+                           "    from .caps import Caps\n"
+                           "    return os.path.join(add(x, 1))\n") == [
+        "Caps", "minus", "re"]
+    source = "from .caps import Caps\nfrom importlib import import_module\n"
+    assert _unused_imports(source) == ["Caps", "import_module"]
+    assert _unused_imports(source, reexports=True) == ["import_module"]
+
+
+def test_every_import_is_used():
+    unused = {f.name: names for f in sorted(SRC.glob("*.py"))
+              if (names := _unused_imports(f.read_text(),
+                                           reexports=f.stem == "__init__"))}
+    assert unused == {}
+
+
 def _unreferenced_private_functions(sources):
     """Names of the _-prefixed, non-dunder functions and methods defined in
     the given sources that no name or attribute in them refers to, outside
@@ -93,6 +134,74 @@ def test_unreferenced_private_function_detection():
 def test_every_private_function_has_a_caller_in_the_package():
     sources = [f.read_text() for f in sorted(SRC.glob("*.py"))]
     assert _unreferenced_private_functions(sources) == []
+
+
+# The public functions nothing in the package calls, each kept on purpose.
+PUBLIC_UNCALLED = {
+    "gradient.gradient_via_colon":
+        "the colon-ideal oracle that gradient() and the benchmark check",
+    "resolution.koszul_betti":
+        "one Betti number from Koszul homology, the oracle of the tables",
+    "resolution.polarize": "polarization, a utility and second oracle",
+    "verify.two_linear_edge_ideals":
+        "the labeled sweep that thm6.1's class-level screen stands for",
+}
+
+
+def _unreferenced_public_names(sources):
+    """Qualified names (module.name) of the public module-level functions
+    and classes in {module: source} that no name, attribute or identifier
+    string in the sources refers to, outside the definition of that name.
+    The lazy table _ENGINES of __init__ lists every export, so it does not
+    count as a reference."""
+    defined, used = {}, set()
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            inside = inside | {node.name}
+        elif isinstance(node, ast.Name):
+            used.update({node.id} - inside)
+        elif isinstance(node, ast.Attribute):
+            used.update({node.attr} - inside)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.isidentifier()):
+            used.update({node.value} - inside)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        defined.update((node.name, f"{module}.{node.name}")
+                       for node in tree.body
+                       if isinstance(node, (ast.FunctionDef,
+                                            ast.AsyncFunctionDef,
+                                            ast.ClassDef))
+                       and not node.name.startswith("_"))
+        if module == "__init__":
+            tree.body = [node for node in tree.body if not (
+                isinstance(node, ast.Assign) and
+                [getattr(t, "id", None) for t in node.targets] == ["_ENGINES"])]
+        visit(tree, frozenset())
+    return sorted(q for name, q in defined.items() if name not in used)
+
+
+def test_unreferenced_public_name_detection():
+    assert _unreferenced_public_names({
+        "a": "def used(): pass\n"
+             "def dead(): return dead()\n"
+             "class Shown: pass\n"
+             "class Hidden:\n    def m(self): return Hidden()\n"
+             "def _private(): pass\n"
+             "def outer():\n    def inner(): pass\n",
+        "b": "x = used()\nTABLE = {'key': 'Shown'}\nouter\n",
+        "__init__": "_ENGINES = {'a': ('dead', 'Hidden')}\n"}) == [
+            "a.Hidden", "a.dead"]
+
+
+def test_every_public_name_has_a_caller_or_a_reason():
+    sources = {f.stem: f.read_text() for f in sorted(SRC.glob("*.py"))}
+    assert _unreferenced_public_names(sources) == sorted(PUBLIC_UNCALLED)
 
 
 # The self-recursive functions the package keeps, each with the bound on
@@ -340,20 +449,18 @@ MonomialIdeal Polarization QuadraticDecomposition QuotientOrder
 RegGapFamily Report ResourceCapError SimpleGraph SimplicialComplex
 UNDECIDED VERIFY_IDS betti_table caps closed_form_count
 closed_form_shadow colex_shadow_oracle complementary_edge_ideal
-complexes cycle_certificate default_caps deg edge_ideal errors
-exact_rank family_overlap_run family_reg_gap gradient gradient_chain
-gradient_power_closed_form gradient_power_closed_forms
-gradient_via_colon graphs has_differential_linear_resolution
-has_linear_quotients has_linear_resolution hochster_betti ideal_to_json
-ioformats is_complete_intersection is_componentwise_polymatroidal
-is_connected is_polymatroidal is_stable is_strongly_stable
-is_vertex_splittable iterated_gradient koszul_betti koszul_betti_table
-kruskal linear_quotients_order macaulay_rep many_generators_threshold
-minimalize monomial_str monomials parse_generators parse_graph
-parse_ideal parse_monomial_string peel_order polarize
-quadratic_decomposition random_ideal regularity resolution
-serialize_graph serialize_ideal shadow_bound stable_closure
-stanley_reisner_complex stanley_reisner_ideal strongly_stable_closure
-structure supp underlying_graph verify verify_theorem veronese_type
-vertex_split_tree
+complexes cycle_certificate default_caps edge_ideal errors exact_rank
+family_overlap_run family_reg_gap gradient gradient_chain
+gradient_power_closed_forms gradient_via_colon graphs
+has_differential_linear_resolution has_linear_quotients
+has_linear_resolution hochster_betti ideal_to_json ioformats
+is_complete_intersection is_componentwise_polymatroidal is_connected
+is_polymatroidal is_stable is_strongly_stable is_vertex_splittable
+iterated_gradient koszul_betti koszul_betti_table kruskal
+linear_quotients_order macaulay_rep many_generators_threshold
+monomial_str monomials parse_generators parse_graph parse_ideal
+parse_monomial_string polarize random_ideal regularity resolution
+serialize_ideal shadow_bound stable_closure stanley_reisner_complex
+strongly_stable_closure structure supp underlying_graph verify
+verify_theorem veronese_type vertex_split_tree
 """

@@ -9,6 +9,7 @@ from monograd.caps import Caps
 from monograd.errors import DomainError, ResourceCapError
 from monograd.gradient import gradient
 from monograd import structure
+from monograd.ioformats import parse_ideal
 from monograd.monomials import (MonomialIdeal, divide_by_variable, mono_mul,
                                 supp, variable, veronese_type)
 from monograd.structure import (UNDECIDED, QuotientOrder, _colon_row,
@@ -22,7 +23,7 @@ from monograd.verify import random_ideal, two_linear_edge_ideals
 
 
 def I(n, *strs):
-    return MonomialIdeal.from_strings(n, list(strs))
+    return parse_ideal({"n": n, "gens": list(strs)})
 
 
 def _is_variable_colon(prev, u, n):
@@ -236,7 +237,7 @@ def test_polymatroidal_matches_exchange_oracle():
         for _ in range(rng.randint(1, 3)):
             T = T * MonomialIdeal(n, [variable(n, k + 1) for k in
                                       rng.sample(range(n), rng.randint(1, n))])
-        ideals += [J for J in (V, V * W, T, gradient(V)) if J.is_proper
+        ideals += [J for J in (V, V * W, T, gradient(V)) if not J.is_unit
                    and not J.is_zero]
         # mostly not: seeded equigenerated ideals and generators dropped
         # from polymatroidal ones
@@ -298,7 +299,7 @@ def test_splittable_implies_linear_quotients():
     for _ in range(80):
         n = rng.randint(2, 4)
         J = random_ideal(n, 1, 3, rng.randint(1, 4), rng=rng)
-        if is_vertex_splittable(J) and J.is_proper and not J.is_zero:
+        if is_vertex_splittable(J) and not (J.is_unit or J.is_zero):
             checked += 1
             assert linear_quotients_order(J) is not None, J
     assert checked > 10

@@ -7,11 +7,11 @@ import monograd.verify as verify
 from monograd.errors import DomainError
 from monograd.gradient import gradient, gradient_chain
 from monograd.graphs import (gradient_power_closed_forms,
-                             quadratic_decomposition)
+                             quadratic_decompositions)
 from monograd.ioformats import ideal_to_json
 from monograd.monomials import (MonomialIdeal, is_complete_intersection,
                                 monomials_of_degree,
-                                squarefree_monomials_of_degree)
+                                squarefree_monomials_of_degree, variable)
 from monograd.structure import (has_linear_quotients, is_polymatroidal,
                                 is_stable, is_strongly_stable,
                                 linear_quotients_order)
@@ -137,7 +137,7 @@ def _thm61_labeled(n_max, ks, forms=gradient_power_closed_forms):
     tails, tail_grads, squares = {}, {}, {}
     for I in two_linear_edge_ideals(n_max):
         screened += 1
-        dec = quadratic_decomposition(I)
+        dec = next(quadratic_decompositions(I), None)
         if dec is None:
             bad += 1
             continue
@@ -207,14 +207,15 @@ def test_thm61_checks_each_labeled_pair_through_one_class_pair(
     forms = verify.gradient_power_closed_forms
 
     def spy(dec, n, k):
-        checked.add((n, dec.reconstruct(n).gens, dec.v))
+        split = MonomialIdeal(n, [variable(n, dec.v)]) * dec.P + dec.J
+        checked.add((n, split.gens, dec.v))
         return forms(dec, n, k)
 
     monkeypatch.setattr(verify, "gradient_power_closed_forms", spy)
     assert verify_theorem("thm6.1", {"n_max": n_max}, seed=0).passed
     assert len({pair[:2] for pair in checked}) == classes
     assert len(checked) == pairs
-    labeled = {(G.n, G.gens, quadratic_decomposition(G).v)
+    labeled = {(G.n, G.gens, next(quadratic_decompositions(G)).v)
                for G in two_linear_edge_ideals(n_max)}
     assert len(labeled) == {4: 43, 5: 624}[n_max]
     covered = set()
