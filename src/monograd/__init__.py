@@ -33,7 +33,7 @@ _ENGINES = {
     "graphs": ("QuadraticDecomposition", "RegGapFamily", "SimpleGraph",
                "complementary_edge_ideal", "edge_ideal", "family_overlap_run",
                "family_reg_gap", "gradient_power_closed_forms",
-               "is_connected", "underlying_graph"),
+               "is_connected", "quadratic_decompositions", "underlying_graph"),
     "ioformats": ("ideal_to_json", "parse_generators", "parse_graph",
                   "parse_ideal", "parse_monomial_string", "serialize_ideal"),
     "kruskal": ("MacaulayRep", "closed_form_count", "closed_form_shadow",

@@ -13,11 +13,15 @@ x_i divides u only once, and a sum keeps both operands' entries.
 
 Divisibility is tested by a scan of the generators of degree <= deg u
 whose support mask lies inside that of u, or by the exponent index, an
-AND of n bitmasks.  An ideal builds the index of its generators once its
-scans have cost as much (ski rental), or when the lcm-lattice walk or
-the polymatroidal test needs it.  The linear-quotients search builds its
-own colon table (`structure._colon_table`) from the same per-exponent
-masks (`_exact_masks`).
+AND of n bitmasks.  The index is used exactly when it would hold more
+monomials than there are variables: a scan visits at most mu of them
+and a lookup costs n ANDs, so while mu <= n the index cannot pay for
+itself, and past n its one-time build (n + sum |supp g| steps) pays off
+over the batches of queries every caller makes.  The lcm-lattice walk
+and the polymatroidal test build it whatever mu is.  The
+linear-quotients search builds its own colon table
+(`structure._colon_table`) from the same per-exponent masks
+(`_exact_masks`).
 
 Variables are 1-based throughout the public API, matching x_1,...,x_n.
 """
@@ -233,32 +237,25 @@ def _minimal_elements(entries: dict) -> dict:
     in canonical order.
 
     Only monomials of lower degree divide u (other than u), so entries of
-    the least degree are minimal.  The others take the cheaper of two
-    tests, in steps: the scan compares u with the kept lower-degree
-    entries whose support mask lies inside that of u, at most P steps for
-    P pairs of entries of different degrees; the exponent index of the
-    entries below the top degree takes its build plus n ANDs per u.
+    the least degree are minimal, and only the entries below the top
+    degree can divide the others.  Each other u is tested against them in
+    their exponent index if they outnumber n, and otherwise by a scan of
+    the kept lower-degree entries whose support mask lies inside that of u.
     """
     ordered = sorted(entries.items(), reverse=True)
     ordered.sort(key=lambda e: e[1][0])  # stable: the canonical order
     if not ordered or ordered[0][1][0] == ordered[-1][1][0]:
         return dict(ordered)
-    n, size = len(ordered[0][0]), len(ordered)
-    # P <= size - 1 per u tested, so the scan wins while size - 1 <= n
-    if size - 1 > n:
-        degrees = list(map(itemgetter(0), map(itemgetter(1), ordered)))
+    degrees = list(map(itemgetter(0), map(itemgetter(1), ordered)))
+    below_top = bisect_left(degrees, degrees[-1])
+    if below_top > len(ordered[0][0]):
         least = bisect_right(degrees, degrees[0])
-        below_top = bisect_left(degrees, degrees[-1])
-        spare = (sum(map(bisect_left, repeat(degrees), degrees))
-                 - n * (size - least + 1))
-        if spare > 0 and spare > sum(
-                int.bit_count(m) for _, (_, m) in ordered[:below_top]):
-            index = _ExponentIndex([u for u, _ in ordered[:below_top]])
-            # bit j is u_j itself, if u_j is in the index, and any other
-            # divisor of u_j has lower degree
-            return dict(ordered[:least] + [
-                (u, e) for j, (u, e) in enumerate(ordered[least:], least)
-                if not index.divisors(u) & ~(1 << j)])
+        index = _ExponentIndex([u for u, _ in ordered[:below_top]])
+        # bit j is u_j itself, if u_j is in the index, and any other
+        # divisor of u_j has lower degree
+        return dict(ordered[:least] + [
+            (u, e) for j, (u, e) in enumerate(ordered[least:], least)
+            if not index.divisors(u) & ~(1 << j)])
     kept = {}
     lower, level, top = [], [], 0  # kept (v, mask) of degree < top, = top
     for u, (d, m) in ordered:
@@ -297,8 +294,7 @@ class MonomialIdeal:
         # the divisibility screen of each generator, for contains()
         object.__setattr__(self, "_degs", tuple(map(itemgetter(0), values)))
         object.__setattr__(self, "_masks", tuple(map(itemgetter(1), values)))
-        # the exponent index of gens; before it is built, None or the
-        # generator visits scans may still make (see _contains)
+        # the exponent index of gens, None until it is built
         object.__setattr__(self, "_index", None)
 
     @classmethod
@@ -384,37 +380,26 @@ class MonomialIdeal:
         return self._contains(_check_monomial(u, self.n))
 
     def _contains(self, u, d=None, mask=None) -> bool:
-        """Membership of a checked u (of degree d and support mask `mask`).
-        Scans pay for the exponent index (ski rental): it is built once the
-        generators they visited beyond the n ANDs of a lookup outnumber its
-        build size, at most twice the cost of the cheaper of scanning always
-        and building at once."""
-        index = self._index
-        if isinstance(index, _ExponentIndex):
-            return index.divisors(u) != 0
+        """Membership of a checked u (of degree d and support mask `mask`):
+        a lookup in the exponent index if G(I) has more than n generators,
+        otherwise a scan of the generators of degree <= d whose support
+        mask lies inside `mask` (see the module docstring)."""
+        if self.mu > self.n:
+            return self._exponent_index().divisors(u) != 0
         if d is None:
             d, mask = sum(u), _support_mask(u)
-        outside, visits, found = ~mask, 0, False
-        for visits, g, gd, gm in zip(count(1), self.gens, self._degs,
-                                     self._masks):
+        outside = ~mask
+        for g, gd, gm in zip(self.gens, self._degs, self._masks):
             if gd > d:
-                break  # generators are degree-ascending
+                return False  # generators are degree-ascending
             if not gm & outside and divides(g, u):
-                found = True
-                break
-        if visits > self.n:
-            if index is None:  # the build size
-                index = self.n + sum(map(int.bit_count, self._masks))
-            if index > visits - self.n:
-                object.__setattr__(self, "_index", index - visits + self.n)
-            else:
-                self._exponent_index()
-        return found
+                return True
+        return False
 
     def _exponent_index(self) -> _ExponentIndex:
         """The exponent index of G(I), built now if it is not yet."""
         index = self._index
-        if not isinstance(index, _ExponentIndex):
+        if index is None:
             index = _ExponentIndex(self.gens)
             object.__setattr__(self, "_index", index)
         return index

@@ -2,6 +2,7 @@ from itertools import combinations
 
 import pytest
 
+import monograd
 from monograd.errors import DomainError
 from monograd.gradient import gradient, gradient_chain
 from monograd.graphs import (QuadraticDecomposition, SimpleGraph,
@@ -126,6 +127,8 @@ def test_closed_form_matches_direct_gradient():
             assert forms[ell] == direct
     m = MonomialIdeal.maximal(3)
     assert gradient_power_closed_forms(dec, 3, 2)[3] == m
+    # the package root exports the decompositions its closed forms take
+    assert monograd.quadratic_decompositions is quadratic_decompositions
 
 
 def _closed_form_oracle(dec, n, k, ell):

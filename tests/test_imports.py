@@ -148,27 +148,57 @@ PUBLIC_UNCALLED = {
 }
 
 
+_SCOPES = (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef,
+           ast.Lambda, ast.ListComp, ast.SetComp, ast.DictComp,
+           ast.GeneratorExp)
+
+
+def _own_bindings(scope):
+    """The names a module, class, function, lambda or comprehension binds
+    itself: its parameters, the targets of its assignments, loops,
+    comprehensions and `with`, and its `as` names.  An import without `as`
+    binds the name it imports, so it is not counted; nor are the names its
+    nested scopes bind."""
+    bound, todo = set(), list(ast.iter_child_nodes(scope))
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            bound.add(node.id)
+        elif isinstance(node, ast.arg):
+            bound.add(node.arg)
+        elif isinstance(node, ast.alias) and node.asname:
+            bound.add(node.asname)
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            bound.add(node.name)
+        if not isinstance(node, _SCOPES):
+            todo += ast.iter_child_nodes(node)
+    return bound
+
+
 def _unreferenced_public_names(sources):
     """Qualified names (module.name) of the public module-level functions
     and classes in {module: source} that no name, attribute or identifier
     string in the sources refers to, outside the definition of that name.
-    The lazy table _ENGINES of __init__ lists every export, so it does not
-    count as a reference."""
+    A name read where an enclosing scope binds it itself refers to that
+    binding, so it does not count.  The lazy table _ENGINES of __init__
+    lists every export, so it does not count as a reference either."""
     defined, used = {}, set()
 
-    def visit(node, inside):
+    def visit(node, inside, hidden):
+        if isinstance(node, _SCOPES):
+            hidden = hidden | _own_bindings(node)
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef)):
             inside = inside | {node.name}
         elif isinstance(node, ast.Name):
-            used.update({node.id} - inside)
+            used.update({node.id} - inside - hidden)
         elif isinstance(node, ast.Attribute):
             used.update({node.attr} - inside)
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
               and node.value.isidentifier()):
             used.update({node.value} - inside)
         for child in ast.iter_child_nodes(node):
-            visit(child, inside)
+            visit(child, inside, hidden)
 
     for module, source in sources.items():
         tree = ast.parse(source)
@@ -182,7 +212,7 @@ def _unreferenced_public_names(sources):
             tree.body = [node for node in tree.body if not (
                 isinstance(node, ast.Assign) and
                 [getattr(t, "id", None) for t in node.targets] == ["_ENGINES"])]
-        visit(tree, frozenset())
+        visit(tree, frozenset(), frozenset())
     return sorted(q for name, q in defined.items() if name not in used)
 
 
@@ -193,10 +223,29 @@ def test_unreferenced_public_name_detection():
              "class Shown: pass\n"
              "class Hidden:\n    def m(self): return Hidden()\n"
              "def _private(): pass\n"
-             "def outer():\n    def inner(): pass\n",
-        "b": "x = used()\nTABLE = {'key': 'Shown'}\nouter\n",
+             "def outer():\n    def inner(): pass\n"
+             "def imported(): pass\n"
+             "def deg(): pass\n",
+        "b": "x = used()\nTABLE = {'key': 'Shown'}\nouter\n"
+             "from .a import imported\nimported()\n",
+        # names each scope binds itself refer to that binding, not to a.deg
+        "c": "def _draw(rng, k):\n"
+             "    deg = rng.randint(2, 3)\n"
+             "    return deg\n"
+             "def _by_parameter(deg): return deg\n"
+             "def _by_loop(xs):\n    for deg in xs: print(deg)\n"
+             "def _by_comprehension(xs): return [deg for deg in xs]\n"
+             "def _by_lambda(): return lambda deg: deg\n"
+             "def _by_with(f):\n    with f() as deg: return deg\n"
+             "def _by_import():\n    import math as deg\n    return deg\n"
+             "def _by_handler():\n"
+             "    try: pass\n"
+             "    except ValueError as deg: return deg\n"
+             "def _by_closure(xs):\n"
+             "    deg = len(xs)\n"
+             "    return lambda: deg\n",
         "__init__": "_ENGINES = {'a': ('dead', 'Hidden')}\n"}) == [
-            "a.Hidden", "a.dead"]
+            "a.Hidden", "a.dead", "a.deg"]
 
 
 def test_every_public_name_has_a_caller_or_a_reason():
@@ -459,8 +508,8 @@ is_polymatroidal is_stable is_strongly_stable is_vertex_splittable
 iterated_gradient koszul_betti koszul_betti_table kruskal
 linear_quotients_order macaulay_rep many_generators_threshold
 monomial_str monomials parse_generators parse_graph parse_ideal
-parse_monomial_string polarize random_ideal regularity resolution
-serialize_ideal shadow_bound stable_closure stanley_reisner_complex
-strongly_stable_closure structure supp underlying_graph verify
-verify_theorem veronese_type vertex_split_tree
+parse_monomial_string polarize quadratic_decompositions random_ideal
+regularity resolution serialize_ideal shadow_bound stable_closure
+stanley_reisner_complex strongly_stable_closure structure supp
+underlying_graph verify verify_theorem veronese_type vertex_split_tree
 """

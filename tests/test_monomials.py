@@ -285,7 +285,8 @@ def test_screened_minimalization_and_contains_match_oracles():
 
 
 # ---------------------------------------------------------------------------
-# the exponent index and the two rules that choose it over a scan
+# the exponent index and the rule that chooses it over a scan: more
+# monomials than variables
 
 def _index_cases():
     """(ideal, membership queries): the unit and zero ideals, n = 0, and
@@ -331,14 +332,14 @@ def test_index_and_scan_membership_match_divisor_lookup():
     for J, qs in _index_cases():
         expected = [_member_by_divisor_lookup(u, J.gens) for u in qs]
         for u, member in zip(qs, expected):
-            fresh = MonomialIdeal(J.n, J.gens)  # no index yet: a scan
+            fresh = MonomialIdeal(J.n, J.gens)  # the path the rule names
             assert fresh._index is None
             assert fresh.contains(u) == member, (J, u)
-            scanned += 1
+            scanned += fresh._index is None
         J._exponent_index()
         assert [J.contains(u) for u in qs] == expected, J
         built += len(qs)
-    assert built == scanned > 4500
+    assert built > 4500 and scanned > 4500, (built, scanned)
 
 
 def test_index_and_scan_contains_ideal_match_divisor_lookup():
@@ -357,24 +358,24 @@ def test_index_and_scan_contains_ideal_match_divisor_lookup():
     assert checked > 500
 
 
-def test_scans_build_the_index_once_they_cost_its_build():
-    # m^2 on 3 variables: build size n + sum |supp g| = 3 + 9, and a
-    # lookup takes n = 3 ANDs; a scan for x3^2 visits all six generators
-    J = MonomialIdeal.maximal(3) ** 2
-    assert J.gens[-1] == (0, 0, 2)
-    assert J.contains((1, 1, 0)) and J._index is None  # 2 visits, < 3
-    assert not J.contains((0, 0, 1)) and J._index is None  # degree screen
-    for credit in (9, 6, 3):
-        assert J.contains((0, 0, 2))
-        assert J._index == credit
-    assert J.contains((0, 0, 2))
-    assert isinstance(J._index, monomials._ExponentIndex)
-    assert J.contains((0, 3, 0)) and not J.contains((1, 0, 0))
-    # the zero ideal's scans visit nothing, so it never builds the index
-    Z = MonomialIdeal.zero(3)
-    for _ in range(10):
-        assert not Z.contains((1, 2, 3))
-    assert Z._index is None
+def test_contains_builds_the_index_exactly_when_mu_exceeds_n():
+    m = MonomialIdeal.maximal(3)
+    queries = [(1, 1, 0), (0, 0, 1), (0, 0, 2), (0, 3, 0), (1, 0, 0),
+               (0, 0, 0), (2, 2, 2)] * 5
+    # m^2 on 3 variables (mu = 6 > 3) builds it on its first query, m
+    # (mu = 3) and the zero ideal never do, however many queries
+    for J, builds in ((m ** 2, True), (m, False),
+                      (MonomialIdeal.zero(3), False)):
+        assert J._index is None
+        for u in queries:
+            assert J.contains(u) == _member_by_divisor_lookup(u, J.gens)
+            assert (J._index is not None) == builds, (J, u)
+            assert J._index is None or type(J._index) is \
+                monomials._ExponentIndex
+        for K in (m ** 2, m ** 3, m):
+            assert J.contains_ideal(K) == all(
+                _member_by_divisor_lookup(u, J.gens) for u in K.gens)
+        assert (J._index is not None) == builds, J
 
 
 @pytest.fixture
@@ -396,20 +397,32 @@ def index_builds(monkeypatch):
 def test_minimalization_by_index_and_by_scan_match_brute_force(index_builds):
     rng = random.Random(808)
     by_index = by_scan = 0
+
+    def draw(n, degree):
+        u = [0] * n
+        for _ in range(degree):
+            u[rng.randrange(n)] += 1
+        return tuple(u)
+
     for t in range(120):
         n = rng.randint(2, 9)
-        # few entries take the scan, many the index
-        count = rng.randint(2, 16) if t % 2 else rng.randint(60, 400)
-        raw = []
-        for _ in range(count):
-            u = [0] * n
-            for _ in range(rng.randint(1, 6)):
-                u[rng.randrange(n)] += 1
-            raw.append(tuple(u))
+        if t % 2:  # at most n entries below the top degree: the scan
+            top = rng.randint(2, 6)
+            raw = ([draw(n, rng.randint(1, top - 1))
+                    for _ in range(rng.randint(1, n))]
+                   + [draw(n, top) for _ in range(rng.randint(1, 12))])
+        else:  # many entries: mostly the index
+            raw = [draw(n, rng.randint(1, 6))
+                   for _ in range(rng.randint(60, 400))]
         index_builds.clear()
         J = MonomialIdeal(n, raw)
         assert J.gens == _brute_minimal(raw), (n, raw)
-        if len({sum(u) for u in raw}) > 1:
+        top = max(map(sum, raw))
+        below_top = len({u for u in raw if sum(u) < top})
+        # the index holds the entries below the top degree, if they
+        # outnumber n
+        assert index_builds == ([below_top] if below_top > n else []), raw
+        if below_top:  # not all of one degree
             by_index += bool(index_builds)
             by_scan += not index_builds
         _assert_rebuilds(J, raw[:10])
