@@ -31,10 +31,23 @@ _CHECKS = {
 }
 
 
+def _read_json(path: str):
+    """The JSON document in the file at path, the one reader of the CLI.
+    Input the decoder cannot take raises DomainError: text that is not
+    UTF-8 or not JSON, an integer past int()'s digit limit, or nesting past
+    the recursion limit."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except RecursionError:
+        raise DomainError("JSON document nested too deeply") from None
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError too
+        raise DomainError(str(exc)) from None
+
+
 def _load_ideal(path: str):
     from .ioformats import parse_ideal
-    with open(path) as fh:
-        return parse_ideal(json.load(fh))
+    return parse_ideal(_read_json(path))
 
 
 def _emit(doc, as_json: bool) -> None:
@@ -122,8 +135,7 @@ def _cmd_stats(args, as_json: bool) -> int:
     from .ioformats import parse_generators
     from .monomials import MonomialIdeal, monomial_str
     if args.no_minimalize:
-        with open(args.file) as fh:
-            n, gens = parse_generators(json.load(fh))
+        n, gens = parse_generators(_read_json(args.file))
         doc = {"n": n, "raw_generators": [monomial_str(u) for u in gens],
                "raw_count": len(gens),
                "minimal_count": MonomialIdeal(n, gens).mu}
@@ -198,8 +210,7 @@ def _cmd_family(args, as_json: bool) -> int:
 def _cmd_graph(args, as_json: bool) -> int:
     from .graphs import complementary_edge_ideal, edge_ideal
     from .ioformats import parse_graph, serialize_ideal
-    with open(args.file) as fh:
-        G = parse_graph(json.load(fh))
+    G = parse_graph(_read_json(args.file))
     # the only command that can warn (on an edgeless graph)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")  # warn on every call, not once
@@ -241,7 +252,10 @@ def _cmd_verify(args, as_json: bool) -> int:
         k, v = item.split("=", 1)
         if not v.removeprefix("-").isdecimal():
             raise DomainError(f"--param {k} expects an integer, got {v!r}")
-        params[k] = int(v)
+        try:
+            params[k] = int(v)
+        except ValueError:  # past int()'s digit limit
+            raise DomainError(f"--param {k} has too many digits") from None
     if as_json and args.seed is None:
         raise DomainError("--json verification output requires --seed "
                           "for reproducibility")
@@ -279,7 +293,7 @@ def run_cli(argv: Optional[List[str]] = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return _COMMANDS[args.command](args, getattr(args, "json", False))
-    except (MonogradError, OSError, json.JSONDecodeError) as exc:
+    except (MonogradError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

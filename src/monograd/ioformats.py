@@ -46,8 +46,11 @@ def parse_monomial_string(s: str, n: int) -> Monomial:
         m = _FACTOR_RE.match(factor.strip())
         if not m:
             raise DomainError(f"malformed monomial factor: {factor!r}")
-        i = int(m.group(1))
-        e = int(m.group(2)) if m.group(2) else 1
+        try:
+            i = int(m.group(1))
+            e = int(m.group(2)) if m.group(2) else 1
+        except ValueError:  # past int()'s digit limit, so past every bound
+            raise DomainError(f"number too long in {factor[:20]!r}") from None
         if not 1 <= i <= n:
             raise DomainError(f"variable x{i} out of range 1..{n}")
         exps[i - 1] += e

@@ -13,12 +13,15 @@ x_i divides u only once, and a sum keeps both operands' entries.
 
 Divisibility is tested by a scan of the generators of degree <= deg u
 whose support mask lies inside that of u, or by the exponent index, an
-AND of n bitmasks.  The index is used exactly when it would hold more
-monomials than there are variables: a scan visits at most mu of them
-and a lookup costs n ANDs, so while mu <= n the index cannot pay for
-itself, and past n its one-time build (n + sum |supp g| steps) pays off
-over the batches of queries every caller makes.  The lcm-lattice walk
-and the polymatroidal test build it whatever mu is.  The
+AND of n bitmasks.  The index keeps one table per variable: for each
+exponent e that occurs there, the mask of the generators with exponent
+<= e.  It is used exactly when it would hold more monomials than there
+are variables: a scan visits at most mu of them and a lookup costs n
+ANDs, so while mu <= n the index cannot pay for itself, and past n its
+one-time build (n + sum |supp g| steps, one per support bit and one per
+table entry) pays off over the batches of queries every caller makes.
+The lcm-lattice walk and the polymatroidal test build it whatever mu
+is; the walk derives the masks of each exact exponent from it.  The
 linear-quotients search builds its own colon table
 (`structure._colon_table`) from the same per-exponent masks
 (`_exact_masks`).
@@ -204,27 +207,29 @@ def _exact_masks(col, full: int) -> dict:
 
 
 class _ExponentIndex:
-    """Bit-sliced exponent tables of monomials u_0..u_{M-1}, bit j of each
-    mask standing for u_j: exact[k][e] and le[k][e] are the masks of the
-    u_j with exponent e, and <= e, at x_{k+1}, for the e that occur there
-    (0 included); the u_j dividing u are the AND over k of le[k][u_k].
-    The build visits each support bit (exponent-0 masks are complements),
-    then each table entry: its build size is n + sum |supp u_j| steps.
+    """Bit-sliced exponent table of monomials u_0..u_{M-1}, bit j of each
+    mask standing for u_j: le[k][e] is the mask of the u_j with exponent
+    <= e at x_{k+1}, for the e that occur there (0 included, le[k].exps
+    ascending, the top entry `full` itself); the u_j dividing u are the
+    AND over k of le[k][u_k].  The build visits each support bit (the
+    exponent-0 masks are complements), then each table entry: its build
+    size is n + sum |supp u_j| steps.  The mask of the u_j with exponent
+    exactly e is le[k][e] XOR the entry below it.
     """
 
-    __slots__ = ("full", "exact", "le")
+    __slots__ = ("full", "le")
 
     def __init__(self, gens: Sequence[Monomial]):
         self.full = full = (1 << len(gens)) - 1
-        self.exact, self.le = [], []
+        self.le = []
         for col in zip(*gens):
-            ex = _exact_masks(col, full)
+            exact = _exact_masks(col, full)
             le = _AtMost()
-            le.exps = exps = sorted(ex)
+            le.exps = exps = tuple(sorted(exact))
             acc = 0
-            for e in exps:
-                acc = le[e] = acc | ex[e]
-            self.exact.append(ex)
+            for e in exps[:-1]:
+                acc = le[e] = acc | exact[e]
+            le[exps[-1]] = full
             self.le.append(le)
 
     def divisors(self, u) -> int:
@@ -463,11 +468,16 @@ class MonomialIdeal:
         return MonomialIdeal._trusted(self.n, {**rest, **div})
 
     def _quotients(self) -> dict:
-        """Entries of u / x_i for the u in G(I) and the x_i dividing u."""
-        return {u[:k] + (u[k] - 1,) + u[k + 1:]:
-                (d - 1, m if u[k] > 1 else m ^ 1 << k)
-                for u, d, m in zip(self.gens, self._degs, self._masks)
-                for k in compress(count(), u)}
+        """Entries of u / x_i for the u in G(I) and the x_i dividing u: each
+        u is copied to one list, lowered at one variable at a time."""
+        entries = {}
+        for u, d, m in zip(self.gens, self._degs, self._masks):
+            w, d = list(u), d - 1
+            for k in compress(count(), u):
+                w[k] -= 1
+                entries[tuple(w)] = d, m if w[k] else m ^ 1 << k
+                w[k] = u[k]
+        return entries
 
     def _split(self, i: int):
         """Entries u / x_i of the u in G(I) that x_i divides, and the rest."""

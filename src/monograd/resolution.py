@@ -43,7 +43,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from functools import cache, reduce
-from itertools import combinations, product
+from itertools import combinations, pairwise, product
 from operator import or_
 from typing import Dict, NamedTuple, Optional, Tuple
 
@@ -97,11 +97,14 @@ def _lattice(I: MonomialIdeal, caps: Caps):
     {1 << k: A_k for k in supp b}, A_k those of G_b with g_k = b_k.  From
     the full mask, b_k is the largest e whose exponent mask meets G_b, the
     meet is A_k, and G_b less A_k masks the element below b that lowers
-    b_k, so a stack search reaches every element; nonface-unions caps them."""
+    b_k, so a stack search reaches every element; nonface-unions caps them.
+    The exponent mask of e at x_k is the XOR of the consecutive masks
+    le[k][d] and le[k][e] of the exponent index, d the exponent below e
+    there; the walk derives each once."""
     index = I._exponent_index()
     # per variable, its nonzero exponents from the largest down, with masks
-    tables = [(k, sorted(((e, a) for e, a in exact.items() if e),
-                         reverse=True)) for k, exact in enumerate(index.exact)]
+    tables = [(k, [(e, le[e] ^ le[d]) for d, e in pairwise(le.exps)][::-1])
+              for k, le in enumerate(index.le)]
     seen, stack, cap = {index.full}, [index.full], caps.nonface_unions
     while stack:
         G = stack.pop()

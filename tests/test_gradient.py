@@ -7,7 +7,7 @@ from monograd.errors import DomainError
 from monograd.gradient import (gradient, gradient_chain, gradient_via_colon,
                                iterated_gradient)
 from monograd.ioformats import parse_ideal
-from monograd.monomials import MonomialIdeal
+from monograd.monomials import MonomialIdeal, _support_mask
 from monograd.verify import random_ideal
 
 
@@ -52,8 +52,19 @@ def test_gradient_chain_matches_colon_oracle():
             n = rng.randint(2, 5)
             ideals.append(random_ideal(n, 1, 4, rng.randint(1, 3),
                                        squarefree=squarefree, rng=rng))
+    # wide ones: 20-24 variables, supports of 1-3 and exponents up to 3,
+    # the first generator with an exponent >= 2
+    for _ in range(8):
+        n, gens = rng.randint(20, 24), []
+        for g in range(rng.randint(2, 6)):
+            u = [0] * n
+            for k in rng.sample(range(n), rng.randint(1, 3)):
+                u[k] = rng.randint(2 if g == 0 else 1, 3)
+            gens.append(u)
+        ideals.append(MonomialIdeal(n, gens))
     for J in ideals:
-        # generators have degree <= 4, so ell = 6 runs past the fixed point
+        # the narrow generators have degree <= 4, so ell = 6 runs past
+        # their fixed point
         for ell in (0, 1, 6):
             chain = list(gradient_chain(J, ell))
             oracle = [J]
@@ -61,6 +72,10 @@ def test_gradient_chain_matches_colon_oracle():
                 oracle.append(gradient_via_colon(oracle[-1]))
             assert chain == oracle
             assert iterated_gradient(J, ell) == chain[-1]
+            # the (degree, support mask) each level took from its operand
+            for K in chain:
+                assert K._degs == tuple(map(sum, K.gens)), K
+                assert K._masks == tuple(map(_support_mask, K.gens)), K
         with pytest.raises(DomainError):
             gradient_chain(J, -1)
         with pytest.raises(DomainError):

@@ -236,6 +236,7 @@ def test_cli_verify_ids_are_the_suites():
     ["thm5.1", "--param", "n=2", "--param", "d=2"],
     ["thm6.1", "--param", "k=-1"],
     ["thm6.1", "--param", "k=0"],
+    ["thm2.2", "--param", "a=" + "9" * 5000],  # past int()'s digit limit
     # a key the suite does not read, or half of thm5.1's (n, d) pair,
     # would otherwise run and report parameters that were not used
     ["thm4.3", "--param", "N=5", "--seed", "0", "--json"],
@@ -283,6 +284,28 @@ def test_cli_malformed_input(tmp_path, capsys):
         assert run_cli(argv) == 2, doc
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), doc
+    # files the JSON decoder or int() cannot take: a 5,000-digit integer,
+    # a 5,000-digit exponent or variable index, arrays nested 100,000 deep
+    # and text that is not UTF-8
+    digits, deep = "9" * 5000, "[" * 100000 + "]" * 100000
+    exponent, index = (json.dumps({"n": 2, "gens": [g]}).encode()
+                       for g in (f"x1^{digits}", f"x{digits}"))
+    raw = [(["stats"], f'{{"n": 2, "gens": [[{digits}, 0]]}}'.encode()),
+           (["stats"], exponent),
+           (["stats"], index),
+           (["stats", "--no-minimalize"], exponent),
+           (["stats"], deep.encode()),
+           (["stats", "--no-minimalize"], deep.encode()),
+           (["graph", "edge"], deep.encode()),
+           (["stats"], b'{"n": 1, "gens": ["x1"], "\xff": 0}')]
+    for k, (command, content) in enumerate(raw):
+        f = tmp_path / f"raw{k}.json"
+        f.write_bytes(content)
+        assert run_cli([*command, str(f)]) == 2, command
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), command
+        assert captured.out == "", command
 
 
 @pytest.mark.parametrize("setting", ["no-such-cap=5", "lq-generators=abc",

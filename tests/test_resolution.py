@@ -9,8 +9,8 @@ from monograd.errors import DomainError, ResourceCapError
 from monograd.gradient import gradient, iterated_gradient
 from monograd.graphs import family_overlap_run, family_reg_gap
 from monograd.ioformats import parse_ideal
-from monograd.monomials import (MonomialIdeal, monomials_of_degree, variable,
-                                veronese_type)
+from monograd.monomials import (MonomialIdeal, _exact_masks, divides,
+                                monomials_of_degree, variable, veronese_type)
 import monograd.resolution as resolution
 from monograd.resolution import (DifferentialLinearReport, betti_table,
                                  has_differential_linear_resolution,
@@ -120,13 +120,15 @@ def _lcm_lattice(J):
 
 
 def _tight_columns(J, b):
-    """(G_b, {1 << k: A_k for k in supp b}) of a lattice element b, looked
-    up in the exponent index: the mask of the generators dividing x^b, and
-    for each k the mask of those with g_k = b_k."""
-    index = J._exponent_index()
-    divisors = index.divisors(b)
-    return divisors, {1 << k: divisors & index.exact[k][b[k]]
-                      for k in range(J.n) if b[k]}
+    """(G_b, {1 << k: A_k for k in supp b}) of a lattice element b, without
+    the exponent index: the mask of the generators dividing x^b, by a scan,
+    and for each k the mask of those with g_k = b_k, from the exact
+    exponent masks of the generator column at x_k."""
+    divisors = sum(1 << j for j, g in enumerate(J.gens) if divides(g, b))
+    full = (1 << J.mu) - 1
+    return divisors, {
+        1 << k: divisors & _exact_masks([g[k] for g in J.gens], full)[b[k]]
+        for k in range(J.n) if b[k]}
 
 
 def _element_betti(J, b):
@@ -163,13 +165,12 @@ def _koszul_dual_scan(J, b):
     return w, SimplicialComplex._from_masks(J.n, _antichain(tight))
 
 
-def _index_dual(J, b):
-    """(w, D) as _koszul_dual_scan, from the tight columns the lattice walk
-    reads off the exponent index; a generator tight nowhere is in no
-    column and makes D void."""
-    divisors, columns = _tight_columns(J, b)
+def _walk_dual(J, members, columns):
+    """(w, D) as _koszul_dual_scan, from an element's G_b and the tight
+    columns the lattice walk derives from the exponent index; a generator
+    tight nowhere is in no column and makes D void."""
     tight = list(resolution._tight_sets(columns).values())
-    if len(tight) < divisors.bit_count():
+    if len(tight) < members.bit_count():
         tight.append(0)
     return sum(columns), SimplicialComplex._from_masks(J.n, _antichain(tight))
 
@@ -184,8 +185,11 @@ def _wide_exponent_ideals():
 def test_index_built_dual_matches_generator_scan():
     checked = 0
     for J in _element_sweep() + _wide_exponent_ideals():
-        for b in _lcm_lattice(J):
-            assert _index_dual(J, b) == _koszul_dual_scan(J, b), (J, b)
+        for b, members, columns in resolution._lattice(J, Caps()):
+            # the walk's columns, against a derivation without the index
+            assert (members, columns) == _tight_columns(J, b), (J, b)
+            assert _walk_dual(J, members, columns) == \
+                _koszul_dual_scan(J, b), (J, b)
             checked += 1
     assert checked > 3500
 
