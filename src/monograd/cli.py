@@ -34,15 +34,14 @@ _CHECKS = {
 def _read_json(path: str):
     """The JSON document in the file at path, the one reader of the CLI.
     Input the decoder cannot take raises DomainError: text that is not
-    UTF-8 or not JSON, an integer past int()'s digit limit, or nesting past
-    the recursion limit."""
+    UTF-8, and what ioformats.load_json refuses."""
+    from .ioformats import load_json
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except RecursionError:
-        raise DomainError("JSON document nested too deeply") from None
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError too
-        raise DomainError(str(exc)) from None
+            text = fh.read()
+    except UnicodeDecodeError:
+        raise DomainError(f"{path} is not UTF-8 text") from None
+    return load_json(text)
 
 
 def _load_ideal(path: str):

